@@ -1,10 +1,12 @@
 // Selection-kernel ablation: candidate selection over the compiled
-// snapshot with the scalar per-candidate probes (the pre-vectorization
-// baseline), the column-at-a-time bitmap kernel, the compiled predicate
-// bytecode, and the automatic per-node choice. Measures both the isolated
-// retrieve stage (where the kernels differ) and the full MatchPattern
-// wall time, verifies every kernel produces bit-identical match lists,
-// and dumps machine-readable results for tools/summarize_bench.py.
+// snapshot through ScanBaseList with one kernel forced for every pattern
+// node — the scalar oracle (one GraphPattern::NodeCompatible probe per
+// candidate), the column-at-a-time bitmap kernel and the compiled
+// predicate bytecode — plus the production lane, where RetrieveCandidates
+// picks the kernel per node (ResolveSelectionKernel) and MatchPattern runs
+// the whole pipeline. Every lane must return the scalar oracle's candidate
+// lists; the binary exits nonzero on any divergence. Dumps
+// machine-readable results for tools/summarize_bench.py.
 //
 // The workload mixes label-only patterns (structural columns) with
 // attribute-predicate patterns inside and outside the bytecode ISA, so
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -34,10 +37,6 @@ namespace graphql::bench {
 namespace {
 
 constexpr size_t kMaxMatchesPerQuery = 100;
-
-constexpr match::SelectionKernel kKernels[] = {
-    match::SelectionKernel::kScalar, match::SelectionKernel::kBitmap,
-    match::SelectionKernel::kBytecode, match::SelectionKernel::kAuto};
 
 Graph MakeData(bool quick) {
   Rng rng(20080610);
@@ -87,75 +86,126 @@ std::vector<algebra::GraphPattern> MakeQueries() {
   return out;
 }
 
-std::string Signature(const std::vector<algebra::MatchedGraph>& matches) {
-  std::string sig;
-  for (const algebra::MatchedGraph& m : matches) {
-    for (NodeId v : m.node_mapping) sig += std::to_string(v) + ",";
-    for (EdgeId e : m.edge_mapping) sig += std::to_string(e) + ";";
-    sig += "|";
-  }
-  return sig;
+/// The base list the retrieve stage scans for pattern node `u`: the label
+/// index list when the node is labelled, every data node otherwise.
+const std::vector<NodeId>& BaseList(const algebra::GraphPattern& p, NodeId u,
+                                    const match::LabelIndex& index,
+                                    const std::vector<NodeId>& all) {
+  std::string_view label = p.graph().Label(u);
+  return label.empty() ? all : index.NodesWithLabel(label);
 }
 
 struct LaneResult {
-  double retrieve_ms = -1;  ///< Best-of-reps, isolated retrieve stage.
-  double match_ms = -1;     ///< Best-of-reps, full MatchPattern.
+  const char* name = "";
+  double retrieve_ms = -1;  ///< Best-of-reps, isolated selection stage.
+  double match_ms = -1;     ///< Best-of-reps, full MatchPattern (production).
   size_t matches = 0;
-  size_t candidates = 0;  ///< Sum of retrieved candidate-set sizes.
-  std::vector<std::string> sigs;
+  size_t candidates = 0;  ///< Sum of candidate-list sizes.
+  /// Candidate lists of every (query, pattern node), in order.
+  std::vector<std::vector<NodeId>> lists;
 };
 
-LaneResult RunLane(const Graph& data, const match::LabelIndex& index,
-                   const GraphSnapshot* snap,
-                   const std::vector<algebra::GraphPattern>& queries,
-                   match::SelectionKernel kernel, int reps) {
-  LaneResult r;
-  for (int rep = 0; rep < reps; ++rep) {
-    match::PipelineOptions o;
-    o.selection = kernel;
-    o.candidate_mode = match::CandidateMode::kProfile;
-    o.match.max_matches = kMaxMatchesPerQuery;
-    o.metrics = nullptr;
+enum class Lane { kScalar, kBitmap, kBytecode, kProduction };
 
-    // Isolated selection stage (label/tag/attribute predicates — exactly
-    // what the kernels vectorize): retrieve in kLabelOnly mode, so the
-    // kernel-independent profile pruning does not dilute the ratio.
-    match::PipelineOptions sel = o;
-    sel.candidate_mode = match::CandidateMode::kLabelOnly;
-    auto t0 = std::chrono::steady_clock::now();
-    size_t candidates = 0;
-    for (const algebra::GraphPattern& p : queries) {
-      auto cand =
-          match::RetrieveCandidates(p, data, &index, sel, nullptr, snap);
-      for (const auto& c : cand) candidates += c.size();
+const char* LaneName(Lane lane) {
+  switch (lane) {
+    case Lane::kScalar:
+      return "scalar";
+    case Lane::kBitmap:
+      return "bitmap";
+    case Lane::kBytecode:
+      return "bytecode";
+    case Lane::kProduction:
+      return "production";
+  }
+  return "?";
+}
+
+/// One rep of the selection stage on `lane`: every pattern node of every
+/// query scans its base list.
+std::vector<std::vector<NodeId>> Select(
+    Lane lane, const Graph& data, const match::LabelIndex& index,
+    const GraphSnapshot& snap, const std::vector<NodeId>& all,
+    const std::vector<algebra::GraphPattern>& queries) {
+  std::vector<std::vector<NodeId>> lists;
+  for (const algebra::GraphPattern& p : queries) {
+    const NodeId k = static_cast<NodeId>(p.graph().NumNodes());
+    if (lane == Lane::kProduction) {
+      // Label-only retrieval: exactly the kernels' scans, no profile
+      // pruning diluting the comparison.
+      match::PipelineOptions o;
+      o.candidate_mode = match::CandidateMode::kLabelOnly;
+      o.metrics = nullptr;
+      for (auto& c : match::RetrieveCandidates(p, data, &index, o, nullptr,
+                                               &snap)) {
+        lists.push_back(std::move(c));
+      }
+      continue;
     }
+    if (lane == Lane::kScalar) {
+      for (NodeId u = 0; u < k; ++u) {
+        std::vector<NodeId> out;
+        for (NodeId v : BaseList(p, u, index, all)) {
+          if (p.NodeCompatible(u, snap, data, v)) out.push_back(v);
+        }
+        lists.push_back(std::move(out));
+      }
+      continue;
+    }
+    const match::SelectionKernel kernel =
+        lane == Lane::kBitmap ? match::SelectionKernel::kBitmap
+                              : match::SelectionKernel::kBytecode;
+    match::SelectionPlan plan(p, snap, /*metrics=*/nullptr);
+    algebra::PatternScratch scratch;
+    PackedBits bits(2, snap.num_nodes());
+    for (NodeId u = 0; u < k; ++u) {
+      std::vector<NodeId> out;
+      match::ScanBaseList(plan, u, data, BaseList(p, u, index, all), kernel,
+                          &scratch, &bits, &out);
+      lists.push_back(std::move(out));
+    }
+  }
+  return lists;
+}
+
+LaneResult RunLane(Lane lane, const Graph& data,
+                   const match::LabelIndex& index, const GraphSnapshot& snap,
+                   const std::vector<NodeId>& all,
+                   const std::vector<algebra::GraphPattern>& queries,
+                   int reps) {
+  LaneResult r;
+  r.name = LaneName(lane);
+  for (int rep = 0; rep < reps; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::vector<NodeId>> lists =
+        Select(lane, data, index, snap, all, queries);
     auto t1 = std::chrono::steady_clock::now();
     double retrieve_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (r.retrieve_ms < 0 || retrieve_ms < r.retrieve_ms) {
       r.retrieve_ms = retrieve_ms;
     }
-    r.candidates = candidates;
+    r.candidates = 0;
+    for (const auto& c : lists) r.candidates += c.size();
+    r.lists = std::move(lists);
+    if (lane != Lane::kProduction) continue;
 
     // Full pipeline, for the end-to-end view.
     size_t matches = 0;
-    std::vector<std::string> sigs;
     auto t2 = std::chrono::steady_clock::now();
     for (const algebra::GraphPattern& p : queries) {
+      match::PipelineOptions o;
+      o.candidate_mode = match::CandidateMode::kProfile;
+      o.match.max_matches = kMaxMatchesPerQuery;
+      o.metrics = nullptr;
       auto m = match::MatchPattern(p, data, &index, o);
-      if (m.ok()) {
-        matches += m->size();
-        sigs.push_back(Signature(*m));
-      } else {
-        sigs.push_back("error:" + m.status().ToString());
-      }
+      if (m.ok()) matches += m->size();
     }
     auto t3 = std::chrono::steady_clock::now();
     double match_ms =
         std::chrono::duration<double, std::milli>(t3 - t2).count();
     if (r.match_ms < 0 || match_ms < r.match_ms) r.match_ms = match_ms;
     r.matches = matches;
-    if (rep == 0) r.sigs = std::move(sigs);
   }
   return r;
 }
@@ -177,33 +227,39 @@ int Main(int argc, char** argv) {
   Graph data = MakeData(quick);
   match::LabelIndex index = match::LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> queries = MakeQueries();
-  // Warm the snapshot outside the timed region — every lane (including
-  // scalar) runs over it; the kernels are the only variable.
+  // Warm the snapshot outside the timed region — every lane runs over it;
+  // the kernels are the only variable.
   std::shared_ptr<const GraphSnapshot> snap = data.snapshot();
 
+  std::vector<NodeId> all(data.NumNodes());
+  for (size_t v = 0; v < all.size(); ++v) all[v] = static_cast<NodeId>(v);
+
   std::vector<LaneResult> lanes;
-  for (match::SelectionKernel kernel : kKernels) {
-    lanes.push_back(RunLane(data, index, snap.get(), queries, kernel, reps));
+  for (Lane lane :
+       {Lane::kScalar, Lane::kBitmap, Lane::kBytecode, Lane::kProduction}) {
+    lanes.push_back(RunLane(lane, data, index, *snap, all, queries, reps));
   }
 
   bool identical = true;
   for (const LaneResult& lane : lanes) {
-    identical = identical && lane.sigs == lanes[0].sigs &&
-                lane.candidates == lanes[0].candidates;
+    identical = identical && lane.lists == lanes[0].lists;
   }
 
-  std::printf("\n%10s %12s %10s %12s %8s %10s\n", "kernel", "retrieve_ms",
+  std::printf("\n%10s %12s %10s %12s %8s %10s\n", "lane", "retrieve_ms",
               "match_ms", "candidates", "matches", "speedup");
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    double speedup = lanes[i].retrieve_ms > 0
-                         ? lanes[0].retrieve_ms / lanes[i].retrieve_ms
-                         : 0.0;
-    std::printf("%10s %12.3f %10.2f %12zu %8zu %9.2fx\n",
-                match::SelectionKernelName(kKernels[i]),
-                lanes[i].retrieve_ms, lanes[i].match_ms, lanes[i].candidates,
-                lanes[i].matches, speedup);
+  for (const LaneResult& lane : lanes) {
+    double speedup =
+        lane.retrieve_ms > 0 ? lanes[0].retrieve_ms / lane.retrieve_ms : 0.0;
+    if (lane.match_ms >= 0) {
+      std::printf("%10s %12.3f %10.2f %12zu %8zu %9.2fx\n", lane.name,
+                  lane.retrieve_ms, lane.match_ms, lane.candidates,
+                  lane.matches, speedup);
+    } else {
+      std::printf("%10s %12.3f %10s %12zu %8s %9.2fx\n", lane.name,
+                  lane.retrieve_ms, "-", lane.candidates, "-", speedup);
+    }
   }
-  std::printf("\nmatch lists %s across kernels\n",
+  std::printf("\ncandidate lists %s across lanes\n",
               identical ? "bit-identical" : "DIVERGED");
 
   const char* path = std::getenv("GQL_BENCH_SELECTION_JSON");
@@ -224,15 +280,17 @@ int Main(int argc, char** argv) {
       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
       << "  \"lanes\": [\n";
   for (size_t i = 0; i < lanes.size(); ++i) {
-    double speedup = lanes[i].retrieve_ms > 0
-                         ? lanes[0].retrieve_ms / lanes[i].retrieve_ms
-                         : 0.0;
-    out << "    {\"lane\": \"" << match::SelectionKernelName(kKernels[i])
-        << "\", \"retrieve_ms\": " << lanes[i].retrieve_ms
-        << ", \"match_ms\": " << lanes[i].match_ms
-        << ", \"candidates\": " << lanes[i].candidates
-        << ", \"matches\": " << lanes[i].matches
-        << ", \"retrieve_speedup\": " << speedup << "}"
+    const LaneResult& lane = lanes[i];
+    double speedup =
+        lane.retrieve_ms > 0 ? lanes[0].retrieve_ms / lane.retrieve_ms : 0.0;
+    out << "    {\"lane\": \"" << lane.name
+        << "\", \"retrieve_ms\": " << lane.retrieve_ms
+        << ", \"candidates\": " << lane.candidates;
+    if (lane.match_ms >= 0) {
+      out << ", \"match_ms\": " << lane.match_ms
+          << ", \"matches\": " << lane.matches;
+    }
+    out << ", \"retrieve_speedup\": " << speedup << "}"
         << (i + 1 < lanes.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";

@@ -175,26 +175,6 @@ bool GraphPattern::EdgeCompatible(EdgeId pe, const Graph& data,
                             &scratch_edge_mapping_);
 }
 
-bool GraphPattern::NodeCompatible(NodeId u, const Graph& data, NodeId v,
-                                  PatternScratch* scratch) const {
-  if (scratch->mapping_.size() < built_.graph.NumNodes()) {
-    scratch->mapping_.resize(built_.graph.NumNodes(), kInvalidNode);
-  }
-  return NodeCompatibleWith(u, data, v, &scratch->mapping_);
-}
-
-bool GraphPattern::EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de,
-                                  PatternScratch* scratch) const {
-  if (scratch->mapping_.size() < built_.graph.NumNodes()) {
-    scratch->mapping_.resize(built_.graph.NumNodes(), kInvalidNode);
-  }
-  if (scratch->edge_mapping_.size() < built_.graph.NumEdges()) {
-    scratch->edge_mapping_.resize(built_.graph.NumEdges(), kInvalidEdge);
-  }
-  return EdgeCompatibleWith(pe, data, de, &scratch->mapping_,
-                            &scratch->edge_mapping_);
-}
-
 bool GraphPattern::NodeCompatibleWith(NodeId u, const Graph& data, NodeId v,
                                       std::vector<NodeId>* mapping) const {
   const AttrTuple& want = built_.graph.node(u).attrs;

@@ -31,7 +31,8 @@ namespace graphql::algebra {
 /// Thread-compatibility: the two-argument NodeCompatible/EdgeCompatible
 /// overloads use an internal scratch mapping, so they must not be called
 /// concurrently on one pattern. Concurrent callers (the parallel pipeline
-/// stages) pass their own per-worker PatternScratch to the overloads below;
+/// stages) pass their own per-worker PatternScratch to the snapshot
+/// overloads below;
 /// everything else on a compiled pattern is read-only.
 class PatternScratch;
 
@@ -80,20 +81,15 @@ class GraphPattern {
   /// equality, pushed edge predicates F_e).
   bool EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de) const;
 
-  /// Thread-safe variants: evaluate pushed predicates through the caller's
-  /// scratch instead of the shared internal one. Each concurrent worker
-  /// owns one PatternScratch (resized to this pattern on first use).
-  bool NodeCompatible(NodeId u, const Graph& data, NodeId v,
-                      PatternScratch* scratch) const;
-  bool EdgeCompatible(EdgeId pe, const Graph& data, EdgeId de,
-                      PatternScratch* scratch) const;
-
   /// Snapshot fast paths: identical verdicts to the Graph overloads, but
   /// tag and attribute-equality checks compare pre-interned symbol ids
   /// against the snapshot's columns — no std::string is touched unless
   /// the node/edge carries pushed predicates (which still evaluate
   /// against `data` through the expression engine). `data` must be the
-  /// graph `snap` was compiled from.
+  /// graph `snap` was compiled from. The PatternScratch overloads are the
+  /// thread-safe variants: they evaluate pushed predicates through the
+  /// caller's scratch instead of the shared internal one; each concurrent
+  /// worker owns one (resized to this pattern on first use).
   bool NodeCompatible(NodeId u, const GraphSnapshot& snap, const Graph& data,
                       NodeId v) const;
   bool NodeCompatible(NodeId u, const GraphSnapshot& snap, const Graph& data,

@@ -298,11 +298,15 @@ class ResourceGovernor {
 ///
 /// A null governor makes every operation a no-op that reports "continue";
 /// parallel code can therefore run ungoverned without branching.
+///
+/// A `direct` shard serves a stage running on the calling thread alone: it
+/// charges through the single-threaded ResourceGovernor::Charge with no
+/// batching, so one-worker runs keep the serial charge cadence.
 class GovernorShard {
  public:
   GovernorShard() = default;
-  GovernorShard(ResourceGovernor* gov, GovernPoint point)
-      : gov_(gov), point_(point) {}
+  GovernorShard(ResourceGovernor* gov, GovernPoint point, bool direct = false)
+      : gov_(gov), point_(point), direct_(direct) {}
   GovernorShard(const GovernorShard&) = delete;
   GovernorShard& operator=(const GovernorShard&) = delete;
   GovernorShard(GovernorShard&&) = default;
@@ -314,6 +318,11 @@ class GovernorShard {
   /// budget.
   bool Charge(uint64_t steps = 1) {
     if (gov_ == nullptr) return true;
+    if (direct_) {
+      if (gov_->tripped()) return false;
+      charged_ += steps;
+      return gov_->Charge(steps, point_);
+    }
     pending_ += steps;
     if (pending_ >= ResourceGovernor::kCheckIntervalSteps) return Flush();
     return !gov_->tripped();
@@ -343,6 +352,7 @@ class GovernorShard {
  private:
   ResourceGovernor* gov_ = nullptr;
   GovernPoint point_ = GovernPoint::kOther;
+  bool direct_ = false;
   uint64_t pending_ = 0;
   uint64_t charged_ = 0;
 };

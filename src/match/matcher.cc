@@ -10,7 +10,8 @@ namespace graphql::match {
 
 namespace {
 
-/// Shared DFS engine behind both SearchMatches entry points.
+/// Shared DFS engine behind both SearchMatches entry points. Edge probes
+/// read the data graph's snapshot (options.snapshot, never null here).
 class SearchEngine {
  public:
   SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
@@ -21,7 +22,7 @@ class SearchEngine {
       : pattern_(pattern),
         p_(pattern.graph()),
         data_(data),
-        snap_(options.snapshot),
+        snap_(*options.snapshot),
         candidates_(candidates),
         order_(order),
         options_(options),
@@ -139,45 +140,20 @@ class SearchEngine {
     return true;
   }
 
-  /// Finds a data edge between v and w compatible with pattern edge pe
-  /// (direction-aware for directed graphs). kInvalidEdge if none.
-  EdgeId FindCompatibleEdge(EdgeId pe, NodeId from, NodeId to) {
-    if (snap_ != nullptr) return FindCompatibleEdgeSnap(pe, from, to);
-    // Scan the smaller adjacency; for undirected graphs both lists carry
-    // the edge.
-    const std::vector<Graph::Adj>* list = &data_.neighbors(from);
-    NodeId want = to;
-    if (!data_.directed() && data_.Degree(to) < list->size()) {
-      list = &data_.neighbors(to);
-      want = from;
-    }
-    for (const Graph::Adj& a : *list) {
-      if (a.node != want) continue;
-      if (data_.directed()) {
-        // neighbors() lists outgoing edges of `from`; direction holds.
-      }
-      bool compatible = scratch_ != nullptr
-                            ? pattern_.EdgeCompatible(pe, data_, a.edge, scratch_)
-                            : pattern_.EdgeCompatible(pe, data_, a.edge);
-      if (compatible) return a.edge;
-    }
-    return kInvalidEdge;
-  }
-
-  /// Snapshot variant: the (from, to) run in the CSR is contiguous and
-  /// ascending in edge id — exactly the edge-id order the legacy adjacency
-  /// scan visits parallel edges in — so the first compatible edge is the
-  /// same edge. The pattern edge's interned tag prefilters the run without
+  /// Finds a data edge from `from` to `to` compatible with pattern edge pe;
+  /// kInvalidEdge if none. The (from, to) run in the CSR is contiguous and
+  /// ascending in edge id, so the first compatible edge is the lowest-id
+  /// one. The pattern edge's interned tag prefilters the run without
   /// touching strings.
-  EdgeId FindCompatibleEdgeSnap(EdgeId pe, NodeId from, NodeId to) {
+  EdgeId FindCompatibleEdge(EdgeId pe, NodeId from, NodeId to) {
     SymbolId want_tag = pattern_.edge_tag_sym(pe);
-    for (const GraphSnapshot::AdjEntry& a : snap_->EdgesBetween(from, to)) {
+    for (const GraphSnapshot::AdjEntry& a : snap_.EdgesBetween(from, to)) {
       ++local_csr_probes_;
       if (want_tag != kNoSymbol && a.tag_sym != want_tag) continue;
       bool compatible =
           scratch_ != nullptr
-              ? pattern_.EdgeCompatible(pe, *snap_, data_, a.edge, scratch_)
-              : pattern_.EdgeCompatible(pe, *snap_, data_, a.edge);
+              ? pattern_.EdgeCompatible(pe, snap_, data_, a.edge, scratch_)
+              : pattern_.EdgeCompatible(pe, snap_, data_, a.edge);
       if (compatible) return a.edge;
     }
     return kInvalidEdge;
@@ -198,9 +174,7 @@ class SearchEngine {
         to = v;
       }
       ++local_.edge_checks;
-      bool exists = snap_ != nullptr ? snap_->HasEdgeBetween(from, to)
-                                     : data_.HasEdgeBetween(from, to);
-      if (!exists) return false;
+      if (!snap_.HasEdgeBetween(from, to)) return false;
       if (trivial_edge_[pe]) {
         edge_assign_[pe] = kInvalidEdge;  // Resolved lazily on emit.
         continue;
@@ -221,12 +195,9 @@ class SearchEngine {
     for (size_t e = 0; e < p_.NumEdges(); ++e) {
       if (m.edge_mapping[e] == kInvalidEdge) {
         const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
-        // FindFirstEdge returns the lowest edge id in the (u, v) run —
-        // the same edge the adjacency-order FindEdge scan yields.
+        // The lowest edge id in the (u, v) run.
         m.edge_mapping[e] =
-            snap_ != nullptr
-                ? snap_->FindFirstEdge(assign_[pe.src], assign_[pe.dst])
-                : data_.FindEdge(assign_[pe.src], assign_[pe.dst]);
+            snap_.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
       }
     }
     ++matches_;
@@ -293,7 +264,7 @@ class SearchEngine {
   const algebra::GraphPattern& pattern_;
   const Graph& p_;
   const Graph& data_;
-  const GraphSnapshot* snap_;
+  const GraphSnapshot& snap_;
   const std::vector<std::vector<NodeId>>& candidates_;
   const std::vector<NodeId>& order_;
   const MatchOptions& options_;
@@ -311,11 +282,23 @@ class SearchEngine {
   std::vector<std::vector<EdgeId>> back_edges_;
   std::vector<char> trivial_edge_;
   SearchStats local_;
-  uint64_t local_csr_probes_ = 0;  ///< Snapshot edge-run entries examined.
+  uint64_t local_csr_probes_ = 0;  ///< CSR edge-run entries examined.
   size_t matches_ = 0;   ///< Matches this run (reset per pinned root).
   size_t emitted_ = 0;   ///< Matches across the engine's lifetime.
   Status status_;
 };
+
+/// `options` with its snapshot filled in: the caller's, or the data graph's
+/// cached one (compiled on first use), kept alive by `holder`.
+MatchOptions WithSnapshot(const Graph& data, const MatchOptions& options,
+                          std::shared_ptr<const GraphSnapshot>* holder) {
+  MatchOptions out = options;
+  if (out.snapshot == nullptr) {
+    *holder = data.snapshot();
+    out.snapshot = holder->get();
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -340,7 +323,9 @@ Status SearchMatchesStreaming(
     const std::vector<NodeId>& order, const MatchOptions& options,
     const std::function<bool(const algebra::MatchedGraph&)>& sink,
     SearchStats* stats, obs::MetricsRegistry* metrics) {
-  SearchEngine engine(pattern, data, candidates, order, options, sink, stats,
+  std::shared_ptr<const GraphSnapshot> holder;
+  MatchOptions opts = WithSnapshot(data, options, &holder);
+  SearchEngine engine(pattern, data, candidates, order, opts, sink, stats,
                       metrics);
   return engine.Run();
 }
@@ -364,6 +349,9 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
   const std::vector<NodeId>& roots = candidates[order[0]];
   if (roots.empty()) return std::vector<algebra::MatchedGraph>{};
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
+  // Fetched here, on the calling thread: workers only read the snapshot.
+  std::shared_ptr<const GraphSnapshot> holder;
+  const MatchOptions opts = WithSnapshot(data, options, &holder);
 
   const size_t n = roots.size();
   std::vector<std::vector<algebra::MatchedGraph>> per_root(n);
@@ -396,7 +384,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
       }
       s.null_sink = [](const algebra::MatchedGraph&) { return true; };
       s.engine = std::make_unique<SearchEngine>(
-          pattern, data, candidates, order, options, s.null_sink, &s.stats,
+          pattern, data, candidates, order, opts, s.null_sink, &s.stats,
           s.metric_shard.get());
       s.engine->set_shard(&s.shard);
       s.engine->set_scratch(&s.scratch);

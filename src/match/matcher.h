@@ -33,11 +33,11 @@ struct MatchOptions {
   /// step is charged to GovernPoint::kSearch; a trip ends the search with
   /// the matches found so far and `SearchStats::governor_tripped` set.
   ResourceGovernor* governor = nullptr;
-  /// Compiled snapshot of the data graph being searched. When set, edge
-  /// existence / compatibility probes run over the snapshot's CSR spans and
-  /// interned symbol ids instead of the mutable adjacency lists — same
-  /// verdicts, same first-edge resolution, no std::string in the inner
-  /// loop. Must have been compiled from `data` (same version).
+  /// Compiled snapshot of the data graph being searched: edge existence /
+  /// compatibility probes run over its CSR spans and interned symbol ids,
+  /// with no std::string in the inner loop. Must have been compiled from
+  /// `data` (same version). Null = the search fetches data.snapshot() once
+  /// on the calling thread.
   const GraphSnapshot* snapshot = nullptr;
 };
 
@@ -103,7 +103,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     ParallelSearchStats* pstats = nullptr);
 
 /// Streaming variant: invokes `sink` for every match; return false from the
-/// sink to stop the search. Used by the FLWR evaluator's accumulating let.
+/// sink to stop the search. SearchMatches collects through it.
 Status SearchMatchesStreaming(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,

@@ -1,25 +1,16 @@
 #include "match/pipeline.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "graph/snapshot.h"
+#include "match/vectorized.h"
 
 namespace graphql::match {
 
 namespace {
-
-/// Profile of a pattern node: labels within `radius` hops in the pattern
-/// graph, interned into the process-wide symbol table (the same id space
-/// data profiles use). A pattern label absent from the data simply never
-/// occurs in any data profile, so containment fails for it naturally —
-/// the same verdict the historical per-graph dictionary reached through
-/// its kUnknownLabel sentinel.
-Profile PatternProfile(const Graph& p, NodeId u, int radius) {
-  return BuildProfile(p, u, radius);
-}
-
 
 /// Attempts to serve a wildcard-label pattern node's base candidate list
 /// from an attribute B+-tree (Section 4.2's B-tree retrieval): an equality
@@ -163,19 +154,22 @@ void EmitWorkerLanes(obs::Tracer* tracer,
   }
 }
 
-/// Parallel retrieval: one task per pattern node runs the feasible-mate
-/// scan (and profile filter) with per-worker pattern scratch and governor
-/// shard; in neighborhood mode the per-candidate sub-isomorphism tests of
-/// every Phi(u) are additionally chunked into stealable ranges, since one
-/// hub node's tests can dominate the whole stage. Anything that touches
-/// non-thread-safe structures (B+-tree lookups, pattern profile /
-/// neighborhood construction, the lazily built all-nodes list) runs on the
-/// coordinator before the fan-out.
-std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
+/// Retrieval of feasible mates, run by `workers` >= 1 participants (one
+/// runs inline on the calling thread, without the pool). One task per
+/// pattern node scans its base list with the kernel ResolveSelectionKernel
+/// picks (and filters by profile), with per-worker pattern scratch and
+/// governor shard; in neighborhood mode the per-candidate sub-isomorphism
+/// tests of every Phi(u) are additionally chunked into stealable ranges,
+/// since one hub node's tests can dominate the whole stage. Anything that
+/// touches non-thread-safe structures (B+-tree lookups, pattern profile /
+/// neighborhood construction, the all-nodes list) runs on the calling
+/// thread before the fan-out. Without an index every base list is the full
+/// node range and no profile or neighborhood pruning applies.
+std::vector<std::vector<NodeId>> Retrieve(
     const algebra::GraphPattern& pattern, const Graph& data,
-    const LabelIndex& index, const PipelineOptions& options,
-    PipelineStats* stats, int workers, RetrieveParallelInfo* info,
-    const GraphSnapshot* snap) {
+    const LabelIndex* index, const PipelineOptions& options,
+    PipelineStats* stats, int workers, const GraphSnapshot& snap,
+    RetrieveParallelInfo* info) {
   const Graph& p = pattern.graph();
   const size_t k = p.NumNodes();
   std::vector<std::vector<NodeId>> out(k);
@@ -184,76 +178,87 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
     stats->size_retrieved.assign(k, 0);
   }
   if (k == 0) return out;
-  ThreadPool& tp =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
   obs::MetricsRegistry* metrics = options.metrics;
   ResourceGovernor* gov = options.governor;
+  // One worker runs the tasks in order on the calling thread, without the
+  // pool (which a serial run never creates) and without worker lanes.
+  auto parallel_for = [&](size_t n, const auto& fn) {
+    ThreadPool::RunStats run;
+    if (workers <= 1) {
+      for (size_t i = 0; i < n; ++i) fn(i, 0);
+    } else {
+      ThreadPool& tp =
+          options.pool != nullptr ? *options.pool : ThreadPool::Shared();
+      run = tp.ParallelFor(n, workers, fn);
+    }
+    return run;
+  };
 
-  // Coordinator-side preparation (serial).
+  // Calling-thread preparation: each node's base list is its label index
+  // list, an attribute B+-tree range, or every data node.
   std::vector<NodeId> all_nodes;
-  std::vector<std::vector<NodeId>> owned_base(k);
-  std::vector<const std::vector<NodeId>*> base(k, nullptr);
-  for (size_t u = 0; u < k; ++u) {
+  std::vector<const std::vector<NodeId>*> base(k, &all_nodes);
+  std::vector<std::vector<NodeId>> owned_base(index != nullptr ? k : 0);
+  for (size_t u = 0; u < owned_base.size(); ++u) {
     NodeId pu = static_cast<NodeId>(u);
     std::string_view label = p.Label(pu);
     if (!label.empty()) {
-      base[u] = &index.NodesWithLabel(label);
-    } else if (auto from_attr = AttrIndexBaseList(pattern, pu, index)) {
+      base[u] = &index->NodesWithLabel(label);
+    } else if (auto from_attr = AttrIndexBaseList(pattern, pu, *index)) {
       owned_base[u] = std::move(*from_attr);
       base[u] = &owned_base[u];
-    } else {
-      if (all_nodes.empty() && data.NumNodes() > 0) {
-        all_nodes.resize(data.NumNodes());
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          all_nodes[v] = static_cast<NodeId>(v);
-        }
-      }
-      base[u] = &all_nodes;
     }
   }
-  const bool use_profiles =
-      options.candidate_mode == CandidateMode::kProfile && index.has_profiles();
+  if (std::find(base.begin(), base.end(), &all_nodes) != base.end()) {
+    all_nodes.resize(data.NumNodes());
+    for (size_t v = 0; v < all_nodes.size(); ++v) {
+      all_nodes[v] = static_cast<NodeId>(v);
+    }
+  }
+  const bool use_profiles = index != nullptr &&
+                            options.candidate_mode == CandidateMode::kProfile &&
+                            index->has_profiles();
   const bool use_neighborhoods =
+      index != nullptr &&
       options.candidate_mode == CandidateMode::kNeighborhood &&
-      index.has_neighborhoods();
+      index->has_neighborhoods();
   std::vector<Profile> want_profile;
   std::vector<NeighborhoodSubgraph> want_nbh;
   if (use_profiles) {
     want_profile.resize(k);
     for (size_t u = 0; u < k; ++u) {
       want_profile[u] =
-          PatternProfile(p, static_cast<NodeId>(u), index.options().radius);
+          BuildProfile(p, static_cast<NodeId>(u), index->options().radius);
     }
   } else if (use_neighborhoods) {
     want_nbh.resize(k);
     for (size_t u = 0; u < k; ++u) {
       want_nbh[u] = ExtractNeighborhood(p, static_cast<NodeId>(u),
-                                        index.options().radius);
+                                        index->options().radius);
     }
   }
 
-  // Vectorized selection: one read-only plan shared by all workers; each
-  // worker owns its bitmap scratch (allocated lazily — the auto kernel may
-  // never resolve to bitmap for selective base lists).
-  std::optional<SelectionPlan> sel_plan;
-  if (snap != nullptr && options.selection != SelectionKernel::kScalar) {
-    sel_plan.emplace(pattern, *snap, metrics);
-  }
+  // One read-only selection plan shared by all workers; each worker owns
+  // its bitmap scratch (allocated lazily — selective base lists resolve to
+  // bytecode and never need one).
+  const SelectionPlan plan(pattern, snap, metrics);
 
   struct WorkerState {
     GovernorShard shard;      // Feasible-mate probes (GovernPoint::kRetrieve).
     GovernorShard nbh_shard;  // Sub-iso DFS steps (GovernPoint::kNeighborhood).
     algebra::PatternScratch scratch;
-    std::unique_ptr<PackedBits> bits;  // Bitmap-kernel scratch (2 x n).
+    std::optional<PackedBits> bits;  // Bitmap-kernel scratch (2 x n).
     std::unique_ptr<obs::MetricsRegistry> metric_shard;
     uint64_t feasible_hits = 0;
     uint64_t feasible_misses = 0;
     uint64_t profile_pruned = 0;
   };
+  // One worker runs inline, so its shards charge the governor directly.
+  const bool direct = workers <= 1;
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
   for (WorkerState& s : ws) {
-    s.shard = GovernorShard(gov, GovernPoint::kRetrieve);
-    s.nbh_shard = GovernorShard(gov, GovernPoint::kNeighborhood);
+    s.shard = GovernorShard(gov, GovernPoint::kRetrieve, direct);
+    s.nbh_shard = GovernorShard(gov, GovernPoint::kNeighborhood, direct);
     if (metrics != nullptr && use_neighborhoods) {
       s.metric_shard = std::make_unique<obs::MetricsRegistry>();
     }
@@ -265,39 +270,28 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
   // Phase A: per-pattern-node feasible-mate scans (+ profile filter).
   // Neighborhood mode stops at the attribute stage; its per-candidate
   // tests fan out again below.
-  std::vector<std::vector<NodeId>> attr_stage(k);
+  std::vector<std::vector<NodeId>> attr_stage(use_neighborhoods ? k : 0);
   auto scan_node = [&](size_t u, int w) {
     WorkerState& s = ws[static_cast<size_t>(w)];
     NodeId pu = static_cast<NodeId>(u);
     // One charge per feasible-mate probe; a tripped governor leaves this
-    // node's candidate list empty (partial-result semantics, as serial).
+    // node's candidate list empty (partial-result semantics).
     if (!s.shard.Charge(base[u]->size())) return;
     std::vector<NodeId> stage;
-    stage.reserve(base[u]->size());
-    if (sel_plan.has_value()) {
-      SelectionKernel ku =
-          ResolveSelectionKernel(options.selection, base[u]->size(),
-                                 snap->num_nodes(), base[u] == &all_nodes);
-      if (ku == SelectionKernel::kBitmap && s.bits == nullptr) {
-        s.bits = std::make_unique<PackedBits>(2, snap->num_nodes());
-      }
-      ScanBaseList(*sel_plan, pu, data, *base[u], ku, &s.scratch, s.bits.get(),
-                   &stage);
-    } else {
-      for (NodeId v : *base[u]) {
-        bool ok = snap != nullptr
-                      ? pattern.NodeCompatible(pu, *snap, data, v, &s.scratch)
-                      : pattern.NodeCompatible(pu, data, v, &s.scratch);
-        if (ok) stage.push_back(v);
-      }
+    SelectionKernel kernel = ResolveSelectionKernel(
+        base[u]->size(), snap.num_nodes(), base[u] == &all_nodes);
+    if (kernel == SelectionKernel::kBitmap && !s.bits.has_value()) {
+      s.bits.emplace(2, snap.num_nodes());
     }
+    ScanBaseList(plan, pu, data, *base[u], kernel, &s.scratch,
+                 s.bits.has_value() ? &*s.bits : nullptr, &stage);
     s.feasible_hits += stage.size();
     s.feasible_misses += base[u]->size() - stage.size();
     if (stats != nullptr) stats->size_attr[u] = stage.size();
     if (use_profiles) {
       out[u].reserve(stage.size());
       for (NodeId v : stage) {
-        if (ProfileContains(index.profile(v), want_profile[u])) {
+        if (ProfileContains(index->profile(v), want_profile[u])) {
           out[u].push_back(v);
         }
       }
@@ -308,7 +302,7 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
       out[u] = std::move(stage);
     }
   };
-  ThreadPool::RunStats run = tp.ParallelFor(k, workers, scan_node);
+  ThreadPool::RunStats run = parallel_for(k, scan_node);
   stolen += run.stolen;
   workers_seen = run.workers;
   if (info != nullptr) MergeWorkerLanes(&info->lanes, run.lanes);
@@ -317,7 +311,7 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
   if (use_neighborhoods) {
     // Phase B: chunk each Phi(u)'s sub-isomorphism tests into stealable
     // ranges. keep defaults to 1 so a governor trip degrades to "no
-    // pruning", matching the serial conservative fallback.
+    // pruning" (conservative).
     struct Chunk {
       size_t u;
       size_t begin;
@@ -339,7 +333,7 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
       for (size_t i = c.begin; i < c.end; ++i) {
         if (!s.nbh_shard.ok()) return;  // Tripped: keep the rest unpruned.
         NodeId v = attr_stage[c.u][i];
-        if (!NeighborhoodSubIsomorphic(want_nbh[c.u], index.neighborhood(v),
+        if (!NeighborhoodSubIsomorphic(want_nbh[c.u], index->neighborhood(v),
                                        options.neighborhood_step_budget,
                                        s.metric_shard.get(),
                                        /*governor=*/nullptr, &s.nbh_shard)) {
@@ -347,8 +341,7 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
         }
       }
     };
-    ThreadPool::RunStats nbh_run =
-        tp.ParallelFor(chunks.size(), workers, test_chunk);
+    ThreadPool::RunStats nbh_run = parallel_for(chunks.size(), test_chunk);
     stolen += nbh_run.stolen;
     workers_seen = std::max(workers_seen, nbh_run.workers);
     if (info != nullptr) MergeWorkerLanes(&info->lanes, nbh_run.lanes);
@@ -387,10 +380,10 @@ std::vector<std::vector<NodeId>> RetrieveCandidatesParallel(
         ->Increment(feasible_hits);
     metrics->GetCounter("match.retrieve.feasible_misses")
         ->Increment(feasible_misses);
-    if (options.candidate_mode == CandidateMode::kProfile) {
+    if (use_profiles) {
       metrics->GetCounter("match.retrieve.profile_pruned")
           ->Increment(profile_pruned);
-    } else if (options.candidate_mode == CandidateMode::kNeighborhood) {
+    } else if (use_neighborhoods) {
       metrics->GetCounter("match.retrieve.neighborhood_pruned")
           ->Increment(neighborhood_pruned);
     }
@@ -422,205 +415,15 @@ std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
     PipelineStats* stats, const GraphSnapshot* snap) {
-  if (index != nullptr) {
-    int workers = ResolveWorkers(options.num_threads, options.pool);
-    if (workers > 0) {
-      return RetrieveCandidatesParallel(pattern, data, *index, options, stats,
-                                        workers, /*info=*/nullptr, snap);
-    }
+  std::shared_ptr<const GraphSnapshot> holder;
+  if (snap == nullptr) {
+    holder = data.snapshot();
+    snap = holder.get();
   }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  std::vector<std::vector<NodeId>> out(k);
-  if (stats != nullptr) {
-    stats->size_attr.assign(k, 0);
-    stats->size_retrieved.assign(k, 0);
-  }
-  obs::MetricsRegistry* metrics = options.metrics;
-  ResourceGovernor* gov = options.governor;
-  // Feasible-mate accounting, accumulated locally and flushed once.
-  uint64_t feasible_hits = 0;
-  uint64_t feasible_misses = 0;
-  uint64_t profile_pruned = 0;
-  uint64_t neighborhood_pruned = 0;
-  if (index == nullptr) {
-    // Bulk-charge the scan's probes; on a trip return empty candidate
-    // lists (the search then finds nothing — partial-result semantics).
-    if (!GovCharge(gov, k * data.NumNodes(), GovernPoint::kRetrieve)) {
-      return out;
-    }
-    if (snap != nullptr &&
-        options.selection != SelectionKernel::kScalar) {
-      // Full scans are the densest base list possible, so auto resolves to
-      // the bitmap kernel; iterating set bits ascending reproduces the
-      // scalar v-loop order exactly.
-      SelectionPlan plan(pattern, *snap, metrics);
-      const size_t n = data.NumNodes();
-      SelectionKernel ku = ResolveSelectionKernel(options.selection, n, n,
-                                                  /*dense_base=*/true);
-      algebra::PatternScratch scratch;
-      if (ku == SelectionKernel::kBitmap) {
-        PackedBits bits(2, n);
-        for (size_t u = 0; u < k; ++u) {
-          NodeId pu = static_cast<NodeId>(u);
-          plan.FillStructuralBitmap(pu, &bits);
-          const bool preds = plan.HasPreds(pu);
-          bits.ForEachInRow(0, [&](size_t v) {
-            NodeId dv = static_cast<NodeId>(v);
-            if (!preds || plan.PredsOk(pu, data, dv, &scratch)) {
-              out[u].push_back(dv);
-            }
-            return true;
-          });
-        }
-      } else {
-        for (size_t u = 0; u < k; ++u) {
-          for (size_t v = 0; v < n; ++v) {
-            if (plan.NodeCompatible(static_cast<NodeId>(u), data,
-                                    static_cast<NodeId>(v), &scratch)) {
-              out[u].push_back(static_cast<NodeId>(v));
-            }
-          }
-        }
-      }
-    } else if (snap != nullptr) {
-      for (size_t u = 0; u < k; ++u) {
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          if (pattern.NodeCompatible(static_cast<NodeId>(u), *snap, data,
-                                     static_cast<NodeId>(v))) {
-            out[u].push_back(static_cast<NodeId>(v));
-          }
-        }
-      }
-    } else {
-      out = ScanCandidates(pattern, data);
-    }
-    size_t kept = 0;
-    for (size_t u = 0; u < k; ++u) {
-      kept += out[u].size();
-      if (stats != nullptr) {
-        stats->size_attr[u] = out[u].size();
-        stats->size_retrieved[u] = out[u].size();
-      }
-    }
-    if (metrics != nullptr) {
-      metrics->GetCounter("match.retrieve.scans")->Increment();
-      metrics->GetCounter("match.retrieve.feasible_hits")->Increment(kept);
-      metrics->GetCounter("match.retrieve.feasible_misses")
-          ->Increment(k * data.NumNodes() - kept);
-    }
-    return out;
-  }
-
-  std::vector<NodeId> all_nodes;  // Lazy: built only for wildcard nodes.
-  // Vectorized selection state (plan compiled once per retrieve; bitmap
-  // scratch allocated on first bitmap-resolved node).
-  std::optional<SelectionPlan> sel_plan;
-  std::optional<PackedBits> sel_bits;
-  algebra::PatternScratch sel_scratch;
-  if (snap != nullptr && options.selection != SelectionKernel::kScalar) {
-    sel_plan.emplace(pattern, *snap, metrics);
-  }
-  for (size_t u = 0; u < k; ++u) {
-    NodeId pu = static_cast<NodeId>(u);
-    std::string_view label = p.Label(pu);
-    std::vector<NodeId> attr_base;  // Owned storage for B+-tree retrieval.
-    const std::vector<NodeId>* base = nullptr;
-    if (!label.empty()) {
-      base = &index->NodesWithLabel(label);
-    } else if (auto from_attr = AttrIndexBaseList(pattern, pu, *index)) {
-      attr_base = std::move(*from_attr);
-      base = &attr_base;
-    } else {
-      if (all_nodes.empty() && data.NumNodes() > 0) {
-        all_nodes.resize(data.NumNodes());
-        for (size_t v = 0; v < data.NumNodes(); ++v) {
-          all_nodes[v] = static_cast<NodeId>(v);
-        }
-      }
-      base = &all_nodes;
-    }
-
-    // One charge per feasible-mate probe for this pattern node; on a trip
-    // the remaining candidate lists stay empty (partial-result semantics).
-    if (!GovCharge(gov, base->size(), GovernPoint::kRetrieve)) break;
-
-    // Stage 1: attribute retrieval + remaining feasible-mate predicates.
-    std::vector<NodeId> attr_stage;
-    attr_stage.reserve(base->size());
-    if (sel_plan.has_value()) {
-      SelectionKernel ku =
-          ResolveSelectionKernel(options.selection, base->size(),
-                                 snap->num_nodes(), base == &all_nodes);
-      if (ku == SelectionKernel::kBitmap && !sel_bits.has_value()) {
-        sel_bits.emplace(2, snap->num_nodes());
-      }
-      ScanBaseList(*sel_plan, pu, data, *base, ku, &sel_scratch,
-                   sel_bits.has_value() ? &*sel_bits : nullptr, &attr_stage);
-    } else {
-      for (NodeId v : *base) {
-        bool ok = snap != nullptr ? pattern.NodeCompatible(pu, *snap, data, v)
-                                  : pattern.NodeCompatible(pu, data, v);
-        if (ok) attr_stage.push_back(v);
-      }
-    }
-    feasible_hits += attr_stage.size();
-    feasible_misses += base->size() - attr_stage.size();
-    if (stats != nullptr) stats->size_attr[u] = attr_stage.size();
-
-    // Stage 2: local pruning by profiles or neighborhood subgraphs.
-    switch (options.candidate_mode) {
-      case CandidateMode::kLabelOnly:
-        out[u] = std::move(attr_stage);
-        break;
-      case CandidateMode::kProfile: {
-        if (!index->has_profiles()) {
-          out[u] = std::move(attr_stage);
-          break;
-        }
-        Profile want = PatternProfile(p, pu, index->options().radius);
-        for (NodeId v : attr_stage) {
-          if (ProfileContains(index->profile(v), want)) {
-            out[u].push_back(v);
-          }
-        }
-        profile_pruned += attr_stage.size() - out[u].size();
-        break;
-      }
-      case CandidateMode::kNeighborhood: {
-        if (!index->has_neighborhoods()) {
-          out[u] = std::move(attr_stage);
-          break;
-        }
-        NeighborhoodSubgraph want =
-            ExtractNeighborhood(p, pu, index->options().radius);
-        for (NodeId v : attr_stage) {
-          if (NeighborhoodSubIsomorphic(want, index->neighborhood(v),
-                                        options.neighborhood_step_budget,
-                                        metrics, gov)) {
-            out[u].push_back(v);
-          }
-        }
-        neighborhood_pruned += attr_stage.size() - out[u].size();
-        break;
-      }
-    }
-    if (stats != nullptr) stats->size_retrieved[u] = out[u].size();
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.retrieve.feasible_hits")
-        ->Increment(feasible_hits);
-    metrics->GetCounter("match.retrieve.feasible_misses")
-        ->Increment(feasible_misses);
-    if (options.candidate_mode == CandidateMode::kProfile) {
-      metrics->GetCounter("match.retrieve.profile_pruned")
-          ->Increment(profile_pruned);
-    } else if (options.candidate_mode == CandidateMode::kNeighborhood) {
-      metrics->GetCounter("match.retrieve.neighborhood_pruned")
-          ->Increment(neighborhood_pruned);
-    }
-  }
-  return out;
+  const int workers =
+      std::max(1, ResolveWorkers(options.num_threads, options.pool));
+  return Retrieve(pattern, data, index, options, stats, workers, *snap,
+                  /*info=*/nullptr);
 }
 
 Result<std::vector<algebra::MatchedGraph>> MatchPattern(
@@ -634,17 +437,17 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   // Trip counters are emitted on the not-tripped -> tripped transition so
   // collection loops over many member graphs count each trip once.
   const bool was_tripped = gov != nullptr && gov->tripped();
-  // Intra-query parallelism: 0 = the bit-exact serial path. Parallel runs
-  // produce the same match set and order (see SearchMatchesParallel).
+  // Intra-query parallelism: 0 = serial. Parallel runs produce the same
+  // match set and order (see SearchMatchesParallel).
   const int workers = ResolveWorkers(options.num_threads, options.pool);
 
-  // Compile (or fetch) the data graph's snapshot on the coordinator before
-  // any fan-out, so worker threads only ever read the finished immutable
-  // structure. A caller-provided MatchOptions::snapshot wins.
+  // Compile (or fetch) the data graph's snapshot on the calling thread
+  // before any fan-out, so worker threads only ever read the finished
+  // immutable structure. A caller-provided MatchOptions::snapshot wins.
   std::shared_ptr<const GraphSnapshot> snap_holder;
   const GraphSnapshot* snap = options.match.snapshot;
   bool snap_fresh = false;
-  if (snap == nullptr && options.use_snapshot) {
+  if (snap == nullptr) {
     snap_holder = data.snapshot(&snap_fresh);
     snap = snap_holder.get();
     if (snap_fresh && metrics != nullptr) {
@@ -672,7 +475,6 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
                        static_cast<int64_t>(data.NumNodes()));
     query_span.SetAttr("mode", CandidateModeName(options.candidate_mode));
     query_span.SetAttr("indexed", static_cast<int64_t>(index != nullptr));
-    query_span.SetAttr("snapshot", static_cast<int64_t>(snap != nullptr));
     if (workers > 0) {
       query_span.SetAttr("threads", static_cast<int64_t>(workers));
     }
@@ -681,10 +483,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   obs::Span retrieve_span(tracer, "retrieve", obs::Span::Timing::kAlways);
   RetrieveParallelInfo retrieve_info;
   std::vector<std::vector<NodeId>> candidates =
-      workers > 0 && index != nullptr
-          ? RetrieveCandidatesParallel(pattern, data, *index, options, stats,
-                                       workers, &retrieve_info, snap)
-          : RetrieveCandidates(pattern, data, index, options, stats, snap);
+      Retrieve(pattern, data, index, options, stats, std::max(1, workers),
+               *snap, &retrieve_info);
   if (retrieve_span.active()) {
     size_t total = 0;
     for (const auto& c : candidates) total += c.size();
@@ -780,7 +580,7 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   ParallelSearchStats search_parallel;
   MatchOptions match_options = options.match;
   if (match_options.governor == nullptr) match_options.governor = gov;
-  if (match_options.snapshot == nullptr) match_options.snapshot = snap;
+  match_options.snapshot = snap;
   Result<std::vector<algebra::MatchedGraph>> matches =
       workers > 0
           ? SearchMatchesParallel(pattern, data, candidates, order,
@@ -851,7 +651,7 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     stats->order = order;
     stats->num_matches = matches.ok() ? matches.value().size() : 0;
     stats->threads = workers;
-    // Retrieve-stage steals were already added by RetrieveCandidatesParallel.
+    // Retrieve-stage steals were already added by Retrieve.
     stats->tasks_stolen +=
         refine_parallel.tasks_stolen + search_parallel.tasks_stolen;
   }

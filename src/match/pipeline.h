@@ -13,7 +13,6 @@
 #include "match/label_index.h"
 #include "match/matcher.h"
 #include "match/refine.h"
-#include "match/vectorized.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -47,20 +46,6 @@ struct PipelineOptions {
   bool refine_use_marking = true;
   /// Greedy cost-based search order (Section 4.4) vs declaration order.
   bool optimize_order = true;
-  /// Run retrieval, refinement, and search over the data graph's compiled
-  /// GraphSnapshot (interned symbols, CSR adjacency, columnar attributes).
-  /// The snapshot is compiled lazily on first use and cached on the graph;
-  /// results — content and order — are bit-identical to the legacy path.
-  /// Disable to force the mutable-structure code paths (ablation/bench).
-  bool use_snapshot = true;
-  /// Candidate-selection kernel for the snapshot retrieve stage: scalar
-  /// per-candidate probes, column-at-a-time bitmap evaluation over
-  /// PackedBits, compiled predicate bytecode, or a per-node automatic
-  /// choice. Verdicts, candidate order, governor charge sites/amounts,
-  /// and stage metrics are identical across kernels; non-scalar kernels
-  /// require the snapshot path (ignored when use_snapshot is off or no
-  /// snapshot is supplied). Defaults to $GQL_SELECTION (auto if unset).
-  SelectionKernel selection = DefaultSelectionKernel();
   OrderOptions order;
   MatchOptions match;
   /// Step budget for each neighborhood sub-isomorphism test; 0 = unlimited
@@ -68,11 +53,13 @@ struct PipelineOptions {
   /// from the governor; set this only to bound individual tests).
   uint64_t neighborhood_step_budget = 0;
   /// Intra-query parallelism: total workers (including the calling thread)
-  /// for the parallel retrieve / refine / search stages. 0 runs the
-  /// bit-exact serial path; 1 runs the parallel code path on the calling
-  /// thread alone (useful for determinism tests); N > 1 adds pool threads,
-  /// capped at the pool's capacity. Defaults to $GQL_THREADS (0 if unset).
-  /// Parallel match results — set and order — are identical to serial.
+  /// for the retrieve / refine / search stages, capped at the pool's
+  /// capacity; N > 1 adds pool threads. Retrieve runs the same code at 0
+  /// and 1 (one worker, inline on the calling thread). Refine and search
+  /// keep a serial form at 0 (Gauss-Seidel refinement, one DFS) and run
+  /// their parallel form from 1 up (Jacobi refinement, per-root DFS tasks).
+  /// Defaults to $GQL_THREADS (0 if unset). Parallel match results — set
+  /// and order — are identical to serial.
   int num_threads = DefaultNumThreads();
   /// Pool serving the parallel stages; null = the process-wide shared pool.
   ThreadPool* pool = nullptr;
@@ -144,9 +131,11 @@ struct PipelineStats {
 
 /// Retrieval of feasible mates (first phase of Algorithm 4.1 + Section 4.2
 /// pruning). Exposed separately so benchmarks can measure it; stats may be
-/// null. When `index` is null, falls back to a full scan (label-only).
-/// When `snap` is given (compiled from `data`), feasible-mate tests run
-/// through the snapshot's symbol/column fast path.
+/// null. When `index` is null, every pattern node scans all data nodes
+/// (label-only). Feasible-mate tests read `snap` (compiled from `data`),
+/// or data.snapshot() fetched once on the calling thread when it is null;
+/// the kernel per pattern node comes from ResolveSelectionKernel. Runs
+/// with max(1, ResolveWorkers(options.num_threads, options.pool)) workers.
 std::vector<std::vector<NodeId>> RetrieveCandidates(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <unordered_set>
+#include <memory>
 
 #include "common/packed_bits.h"
 #include "graph/snapshot.h"
@@ -18,20 +17,121 @@ uint64_t PairKey(NodeId u, NodeId v) {
          static_cast<uint32_t>(v);
 }
 
-/// Unique undirected neighbor list of a node (parallel edges collapsed;
-/// for directed graphs, in- and out-neighbors are merged — this weakens
-/// but never unsounds the pruning).
-std::vector<NodeId> UniqueNeighbors(const Graph& g, NodeId v) {
+/// Unique undirected neighbor list of pattern node u (parallel edges
+/// collapsed; for directed graphs, in- and out-neighbors are merged — this
+/// weakens but never unsounds the pruning). The data side reads the same
+/// lists from GraphSnapshot::unique_neighbors.
+std::vector<NodeId> PatternNeighbors(const algebra::GraphPattern& pattern,
+                                     NodeId u) {
+  const Graph& p = pattern.graph();
   std::vector<NodeId> out;
-  out.reserve(g.Degree(v));
-  for (const Graph::Adj& a : g.neighbors(v)) out.push_back(a.node);
-  if (g.directed()) {
-    for (const Graph::Adj& a : g.in_neighbors(v)) out.push_back(a.node);
+  out.reserve(p.Degree(u));
+  for (const Graph::Adj& a : p.neighbors(u)) out.push_back(a.node);
+  if (p.directed()) {
+    for (const Graph::Adj& a : p.in_neighbors(u)) out.push_back(a.node);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
+
+/// The state both Algorithm 4.2 loops share: pattern neighbor lists, the
+/// k x n candidate and marked-pair bitmaps (governed), the bipartite test,
+/// removal with re-marking, and the write-back. The serial and parallel
+/// refinements differ only in how a level's pairs are scheduled.
+class RefineState {
+ public:
+  RefineState(const algebra::GraphPattern& pattern, const GraphSnapshot& snap,
+              const std::vector<std::vector<NodeId>>& candidates,
+              ResourceGovernor* governor)
+      : snap_(snap),
+        in_cand_(candidates.size(), snap.num_nodes()),
+        marked_(candidates.size(), snap.num_nodes()),
+        mem_(governor, in_cand_.bytes() + marked_.bytes(),
+             GovernPoint::kRefine) {
+    const size_t k = candidates.size();
+    pnbr_.resize(k);
+    for (size_t u = 0; u < k; ++u) {
+      pnbr_[u] = PatternNeighbors(pattern, static_cast<NodeId>(u));
+      for (NodeId v : candidates[u]) {
+        in_cand_.Set(u, v);
+        Mark(u, v);
+      }
+    }
+  }
+
+  size_t k() const { return pnbr_.size(); }
+  size_t marked_count() const { return marked_count_; }
+  const PackedBits& in_cand() const { return in_cand_; }
+  const PackedBits& marked() const { return marked_; }
+  bool InCand(NodeId u, NodeId v) const { return in_cand_.Test(u, v); }
+
+  /// Level-l test of (u, v): B(u, v) between N(u) and N(v), with an edge
+  /// (u', v') iff v' is currently in Phi(u'), must have a semi-perfect
+  /// matching. An isolated pattern node is trivially matchable. Reads the
+  /// bitmaps only, so concurrent callers are safe between barriers.
+  bool Feasible(NodeId u, NodeId v, std::vector<std::vector<int>>* adj,
+                uint64_t* bipartite_checks) const {
+    const std::vector<NodeId>& nu = pnbr_[u];
+    if (nu.empty()) return true;
+    std::span<const NodeId> nv = snap_.unique_neighbors(v);
+    adj->assign(nu.size(), {});
+    for (size_t i = 0; i < nu.size(); ++i) {
+      for (size_t j = 0; j < nv.size(); ++j) {
+        if (in_cand_.Test(nu[i], nv[j])) {
+          (*adj)[i].push_back(static_cast<int>(j));
+        }
+      }
+    }
+    ++*bipartite_checks;
+    return HasSemiPerfectMatching(static_cast<int>(nu.size()),
+                                  static_cast<int>(nv.size()), *adj);
+  }
+
+  void ClearMark(size_t u, size_t v) {
+    if (marked_.Test(u, v)) {
+      marked_.Clear(u, v);
+      --marked_count_;
+    }
+  }
+
+  /// Removes v from Phi(u) and marks every surviving neighbor pair whose
+  /// bipartite test the removal can change.
+  void Remove(NodeId u, NodeId v) {
+    in_cand_.Clear(u, v);
+    ClearMark(u, v);
+    for (NodeId u2 : pnbr_[u]) {
+      for (NodeId v2 : snap_.unique_neighbors(v)) {
+        if (in_cand_.Test(u2, v2)) Mark(u2, v2);
+      }
+    }
+  }
+
+  /// Writes the surviving candidates back, preserving order.
+  void WriteBack(std::vector<std::vector<NodeId>>* candidates) const {
+    for (size_t u = 0; u < k(); ++u) {
+      std::vector<NodeId>& list = (*candidates)[u];
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [&](NodeId v) { return !in_cand_.Test(u, v); }),
+                 list.end());
+    }
+  }
+
+ private:
+  void Mark(size_t u, size_t v) {
+    if (!marked_.Test(u, v)) {
+      marked_.Set(u, v);
+      ++marked_count_;
+    }
+  }
+
+  const GraphSnapshot& snap_;
+  std::vector<std::vector<NodeId>> pnbr_;
+  PackedBits in_cand_;
+  PackedBits marked_;
+  size_t marked_count_ = 0;
+  ScopedReserve mem_;
+};
 
 void FlushRefineStats(const RefineStats& local, RefineStats* stats,
                       obs::MetricsRegistry* metrics) {
@@ -54,54 +154,33 @@ void FlushRefineStats(const RefineStats& local, RefineStats* stats,
   }
 }
 
-/// Snapshot (packed-bitmap) serial refinement. Decisions and their order
-/// are identical to the legacy path: marked pairs drain in ascending
-/// (u, v) order (what the legacy sort over PairKeys produces), the
-/// no-marking ablation walks candidate-list order against a level-start
-/// copy, and neighbor sets come from the snapshot's sorted unique-neighbor
-/// spans (the same sorted+deduped lists UniqueNeighbors builds per pair).
-void RefineSnapSerial(const algebra::GraphPattern& pattern,
-                      const GraphSnapshot& snap, int level,
-                      std::vector<std::vector<NodeId>>* candidates,
-                      RefineStats* stats, bool use_marking,
-                      obs::MetricsRegistry* metrics,
-                      ResourceGovernor* governor) {
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
+/// Returns `snap` or, when null, the data graph's cached snapshot (compiled
+/// on first use), held in `holder`. Runs on the calling thread, before any
+/// fan-out.
+const GraphSnapshot& SnapshotOf(const Graph& data, const GraphSnapshot* snap,
+                                std::shared_ptr<const GraphSnapshot>* holder) {
+  if (snap != nullptr) return *snap;
+  *holder = data.snapshot();
+  return **holder;
+}
+
+}  // namespace
+
+void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
+                       int level, std::vector<std::vector<NodeId>>* candidates,
+                       RefineStats* stats, bool use_marking,
+                       obs::MetricsRegistry* metrics,
+                       ResourceGovernor* governor, const GraphSnapshot* snap) {
+  const size_t k = pattern.graph().NumNodes();
   if (k == 0 || level <= 0) return;
-  const size_t n = snap.num_nodes();
+  std::shared_ptr<const GraphSnapshot> holder;
+  RefineState st(pattern, SnapshotOf(data, snap, &holder), *candidates,
+                 governor);
+  PackedBits todo(k, st.in_cand().cols());  // Level-start copy.
+  ScopedReserve todo_mem(governor, todo.bytes(), GovernPoint::kRefine);
   RefineStats local;
 
-  PackedBits in_cand(k, n);
-  PackedBits marked(k, n);
-  PackedBits todo(k, n);  // Level-start copy (marked or in_cand).
-  ScopedReserve bitmap_mem(governor,
-                           in_cand.bytes() + marked.bytes() + todo.bytes(),
-                           GovernPoint::kRefine);
-
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  size_t marked_count = 0;
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) {
-      in_cand.Set(u, v);
-      if (!marked.Test(u, v)) {
-        marked.Set(u, v);
-        ++marked_count;
-      }
-    }
-  }
-
-  auto clear_mark = [&](size_t u, size_t v) {
-    if (marked.Test(u, v)) {
-      marked.Clear(u, v);
-      --marked_count;
-    }
-  };
-
+  // Gauss-Seidel: a removal is visible to the later pairs of its level.
   std::vector<std::vector<int>> adj;  // Reused bipartite adjacency buffer.
   bool changed = false;
   // Returns false to stop the level (governor trip).
@@ -111,40 +190,17 @@ void RefineSnapSerial(const algebra::GraphPattern& pattern,
       local.aborted = true;
       return false;
     }
-    if (!in_cand.Test(u, v)) {  // Already removed this level.
+    if (!st.InCand(u, v)) {  // Already removed this level.
       ++local.dirty_skips;
       return true;
     }
-    const std::vector<NodeId>& nu = pnbr[u];
-    if (nu.empty()) {
-      clear_mark(u, v);
-      return true;  // Isolated pattern node: trivially matchable.
-    }
-    std::span<const NodeId> nv = snap.unique_neighbors(v);
-    adj.assign(nu.size(), {});
-    for (size_t i = 0; i < nu.size(); ++i) {
-      for (size_t j = 0; j < nv.size(); ++j) {
-        if (in_cand.Test(nu[i], nv[j])) adj[i].push_back(static_cast<int>(j));
-      }
-    }
-    ++local.bipartite_checks;
-    if (HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                               static_cast<int>(nv.size()), adj)) {
-      clear_mark(u, v);
+    if (st.Feasible(u, v, &adj, &local.bipartite_checks)) {
+      st.ClearMark(u, v);
       return true;
     }
-    in_cand.Clear(u, v);
-    clear_mark(u, v);
+    st.Remove(u, v);
     changed = true;
     ++local.removed;
-    for (NodeId u2 : nu) {
-      for (NodeId v2 : nv) {
-        if (in_cand.Test(u2, v2) && !marked.Test(u2, v2)) {
-          marked.Set(u2, v2);
-          ++marked_count;
-        }
-      }
-    }
     return true;
   };
 
@@ -152,15 +208,18 @@ void RefineSnapSerial(const algebra::GraphPattern& pattern,
     local.levels_run = l + 1;
     changed = false;
     if (use_marking) {
-      if (marked_count == 0) break;
-      todo.CopyFrom(marked);
+      // Marked pairs drain in ascending (u, v) order.
+      if (st.marked_count() == 0) break;
+      todo.CopyFrom(st.marked());
       for (size_t u = 0; u < k && !local.aborted; ++u) {
         todo.ForEachInRow(u, [&](size_t v) {
           return process(static_cast<NodeId>(u), static_cast<NodeId>(v));
         });
       }
     } else {
-      todo.CopyFrom(in_cand);
+      // The no-marking ablation re-checks every surviving pair in
+      // candidate-list order.
+      todo.CopyFrom(st.in_cand());
       bool any = false;
       for (size_t u = 0; u < k && !local.aborted; ++u) {
         for (NodeId v : (*candidates)[u]) {
@@ -172,337 +231,13 @@ void RefineSnapSerial(const algebra::GraphPattern& pattern,
       if (!any) break;
     }
     if (local.aborted) break;
-    if (!changed && use_marking && marked_count == 0) break;
+    if (!changed && use_marking && st.marked_count() == 0) break;
     if (!changed && !use_marking) break;
   }
 
-  // Write the surviving candidates back, preserving order.
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand.Test(u, v); }),
-               list.end());
-  }
-
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.snapshot_passes")->Increment();
-  }
+  st.WriteBack(candidates);
   FlushRefineStats(local, stats, metrics);
 }
-
-}  // namespace
-
-void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
-                       int level, std::vector<std::vector<NodeId>>* candidates,
-                       RefineStats* stats, bool use_marking,
-                       obs::MetricsRegistry* metrics,
-                       ResourceGovernor* governor, const GraphSnapshot* snap) {
-  if (snap != nullptr) {
-    RefineSnapSerial(pattern, *snap, level, candidates, stats, use_marking,
-                     metrics, governor);
-    return;
-  }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k == 0 || level <= 0) return;
-  RefineStats local;  // Counted unconditionally; flushed once at the end.
-
-  // The k x n membership bitmaps are the big transient structure here.
-  ScopedReserve bitmap_mem(governor, k * data.NumNodes(), GovernPoint::kRefine);
-
-  // Pattern neighbor lists (tiny, precompute once).
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  // Membership bitmaps: in_cand[u][v] == 1 iff v in candidates[u]. The
-  // hashed pair bookkeeping below implements the paper's second
-  // improvement (no k x n matrix is materialized for the marks).
-  std::vector<std::vector<char>> in_cand(k,
-                                         std::vector<char>(data.NumNodes(), 0));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) in_cand[u][v] = 1;
-  }
-
-  // The marked-pair set grows with the dirty frontier; route its
-  // allocations through the governor's accounting allocator.
-  using MarkedSet =
-      std::unordered_set<uint64_t, std::hash<uint64_t>, std::equal_to<uint64_t>,
-                         GovernedAllocator<uint64_t>>;
-  MarkedSet marked(0, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-                   GovernedAllocator<uint64_t>(governor, GovernPoint::kRefine));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) marked.insert(PairKey(static_cast<NodeId>(u), v));
-  }
-
-  std::vector<std::vector<int>> adj;  // Reused bipartite adjacency buffer.
-  for (int l = 0; l < level; ++l) {
-    local.levels_run = l + 1;
-    std::vector<uint64_t> todo;
-    if (use_marking) {
-      todo.assign(marked.begin(), marked.end());
-      // Deterministic processing order regardless of hash iteration.
-      std::sort(todo.begin(), todo.end());
-    } else {
-      for (size_t u = 0; u < k; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (in_cand[u][v]) todo.push_back(PairKey(static_cast<NodeId>(u), v));
-        }
-      }
-    }
-    if (todo.empty()) break;
-    bool changed = false;
-
-    for (uint64_t key : todo) {
-      ++local.pairs_charged;
-      if (!GovCharge(governor, 1, GovernPoint::kRefine)) {
-        local.aborted = true;
-        break;
-      }
-      NodeId u = static_cast<NodeId>(key >> 32);
-      NodeId v = static_cast<NodeId>(key & 0xffffffffu);
-      if (!in_cand[u][v]) {  // Already removed this level.
-        ++local.dirty_skips;
-        continue;
-      }
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) {
-        marked.erase(key);
-        continue;  // Isolated pattern node: trivially matchable.
-      }
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      adj.assign(nu.size(), {});
-      for (size_t i = 0; i < nu.size(); ++i) {
-        const std::vector<char>& row = in_cand[nu[i]];
-        for (size_t j = 0; j < nv.size(); ++j) {
-          if (row[nv[j]]) adj[i].push_back(static_cast<int>(j));
-        }
-      }
-      ++local.bipartite_checks;
-      if (HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                 static_cast<int>(nv.size()), adj)) {
-        marked.erase(key);
-        continue;
-      }
-      // Remove v from candidates[u]; mark affected neighbor pairs.
-      in_cand[u][v] = 0;
-      marked.erase(key);
-      changed = true;
-      ++local.removed;
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : nv) {
-          if (in_cand[u2][v2]) {
-            marked.insert(PairKey(u2, v2));
-          }
-        }
-      }
-    }
-    if (local.aborted) break;
-    if (!changed && use_marking && marked.empty()) break;
-    if (!changed && !use_marking) break;
-  }
-
-  // Write the surviving candidates back, preserving order.
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand[u][v]; }),
-               list.end());
-  }
-
-  if (stats != nullptr) {
-    stats->bipartite_checks += local.bipartite_checks;
-    stats->removed += local.removed;
-    stats->dirty_skips += local.dirty_skips;
-    stats->levels_run = local.levels_run;
-    stats->pairs_charged += local.pairs_charged;
-    stats->aborted |= local.aborted;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.bipartite_checks")
-        ->Increment(local.bipartite_checks);
-    metrics->GetCounter("match.refine.removed")->Increment(local.removed);
-    metrics->GetCounter("match.refine.dirty_skips")
-        ->Increment(local.dirty_skips);
-    metrics->GetCounter("match.refine.levels")
-        ->Increment(static_cast<uint64_t>(local.levels_run));
-  }
-}
-
-namespace {
-
-/// Snapshot (packed-bitmap) parallel refinement: the same Jacobi
-/// level-barrier scheme as the legacy parallel path, with the byte bitmap
-/// and hashed marked set replaced by bit matrices and per-pair neighbor
-/// lists replaced by snapshot spans. The todo vector (needed to index the
-/// fan-out) is built by draining the marked bitmap in ascending (u, v)
-/// order — the order the legacy path gets by sorting.
-void RefineSnapParallel(const algebra::GraphPattern& pattern,
-                        const GraphSnapshot& snap, int level,
-                        std::vector<std::vector<NodeId>>* candidates,
-                        RefineStats* stats, bool use_marking,
-                        obs::MetricsRegistry* metrics,
-                        ResourceGovernor* governor, int workers,
-                        ThreadPool& tp, ParallelRefineStats* pstats) {
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
-  if (k == 0 || level <= 0) return;
-  const size_t n = snap.num_nodes();
-  RefineStats local;
-
-  PackedBits in_cand(k, n);
-  PackedBits marked(k, n);
-  ScopedReserve bitmap_mem(governor, in_cand.bytes() + marked.bytes(),
-                           GovernPoint::kRefine);
-
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  size_t marked_count = 0;
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) {
-      in_cand.Set(u, v);
-      if (!marked.Test(u, v)) {
-        marked.Set(u, v);
-        ++marked_count;
-      }
-    }
-  }
-
-  struct WorkerState {
-    GovernorShard shard;
-    std::vector<std::vector<int>> adj;  // Reused bipartite buffer.
-    uint64_t bipartite_checks = 0;
-  };
-  std::vector<WorkerState> ws(static_cast<size_t>(workers));
-  for (WorkerState& s : ws) {
-    s.shard = GovernorShard(governor, GovernPoint::kRefine);
-  }
-
-  uint64_t tasks_stolen = 0;
-  int max_workers_seen = 0;
-  std::vector<ThreadPool::WorkerLane> lanes;
-  std::atomic<bool> aborted{false};
-
-  for (int l = 0; l < level; ++l) {
-    local.levels_run = l + 1;
-    std::vector<uint64_t> todo;
-    if (use_marking) {
-      todo.reserve(marked_count);
-      for (size_t u = 0; u < k; ++u) {
-        marked.ForEachInRow(u, [&](size_t v) {
-          todo.push_back(PairKey(static_cast<NodeId>(u),
-                                 static_cast<NodeId>(v)));
-          return true;
-        });
-      }
-    } else {
-      for (size_t u = 0; u < k; ++u) {
-        for (NodeId v : (*candidates)[u]) {
-          if (in_cand.Test(u, v)) {
-            todo.push_back(PairKey(static_cast<NodeId>(u), v));
-          }
-        }
-      }
-    }
-    if (todo.empty()) break;
-
-    std::vector<char> remove(todo.size(), 0);
-    // The materialized worklist and verdict buffer are the level's real
-    // transient allocations (up to k*n pairs); charge them so a memory
-    // budget smaller than the refinement state trips here, not only at
-    // the bitmap reserve above. Released at the level barrier.
-    ScopedReserve level_mem(governor,
-                            todo.size() * sizeof(uint64_t) + remove.size(),
-                            GovernPoint::kRefine);
-    auto check_pair = [&](size_t i, int w) {
-      if (aborted.load(std::memory_order_relaxed)) return;
-      WorkerState& s = ws[static_cast<size_t>(w)];
-      if (!s.shard.Charge()) {
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      NodeId u = static_cast<NodeId>(todo[i] >> 32);
-      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) return;  // Isolated pattern node: keep.
-      std::span<const NodeId> nv = snap.unique_neighbors(v);
-      s.adj.assign(nu.size(), {});
-      for (size_t a = 0; a < nu.size(); ++a) {
-        for (size_t b = 0; b < nv.size(); ++b) {
-          if (in_cand.Test(nu[a], nv[b])) {
-            s.adj[a].push_back(static_cast<int>(b));
-          }
-        }
-      }
-      ++s.bipartite_checks;
-      if (!HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), s.adj)) {
-        remove[i] = 1;
-      }
-    };
-    ThreadPool::RunStats run = tp.ParallelFor(todo.size(), workers, check_pair);
-    tasks_stolen += run.stolen;
-    max_workers_seen = std::max(max_workers_seen, run.workers);
-    MergeWorkerLanes(&lanes, run.lanes);
-
-    if (aborted.load(std::memory_order_relaxed)) {
-      local.aborted = true;
-      break;
-    }
-
-    bool changed = false;
-    for (size_t i = 0; i < todo.size(); ++i) {
-      NodeId u = static_cast<NodeId>(todo[i] >> 32);
-      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      if (marked.Test(u, v)) {
-        marked.Clear(u, v);
-        --marked_count;
-      }
-      if (!remove[i]) continue;
-      in_cand.Clear(u, v);
-      changed = true;
-      ++local.removed;
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : snap.unique_neighbors(v)) {
-          if (in_cand.Test(u2, v2) && !marked.Test(u2, v2)) {
-            marked.Set(u2, v2);
-            ++marked_count;
-          }
-        }
-      }
-    }
-    if (!changed && use_marking && marked_count == 0) break;
-    if (!changed && !use_marking) break;
-  }
-
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand.Test(u, v); }),
-               list.end());
-  }
-
-  for (WorkerState& s : ws) {
-    if (!s.shard.Flush()) local.aborted = true;
-    local.bipartite_checks += s.bipartite_checks;
-    local.pairs_charged += s.shard.charged();
-  }
-  if (pstats != nullptr) {
-    pstats->workers = max_workers_seen;
-    pstats->tasks_stolen = tasks_stolen;
-    pstats->lanes = std::move(lanes);
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.snapshot_passes")->Increment();
-  }
-  FlushRefineStats(local, stats, metrics);
-}
-
-}  // namespace
 
 void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
                                const Graph& data, int level,
@@ -512,49 +247,19 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
                                ResourceGovernor* governor, int num_threads,
                                ThreadPool* pool, ParallelRefineStats* pstats,
                                const GraphSnapshot* snap) {
-  int workers = ResolveWorkers(num_threads, pool);
+  const int workers = ResolveWorkers(num_threads, pool);
   if (workers <= 0) {
     RefineSearchSpace(pattern, data, level, candidates, stats, use_marking,
                       metrics, governor, snap);
     return;
   }
-  if (snap != nullptr) {
-    ThreadPool& stp = pool != nullptr ? *pool : ThreadPool::Shared();
-    RefineSnapParallel(pattern, *snap, level, candidates, stats, use_marking,
-                       metrics, governor, workers, stp, pstats);
-    return;
-  }
-  const Graph& p = pattern.graph();
-  size_t k = p.NumNodes();
+  const size_t k = pattern.graph().NumNodes();
   if (k == 0 || level <= 0) return;
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
+  std::shared_ptr<const GraphSnapshot> holder;
+  RefineState st(pattern, SnapshotOf(data, snap, &holder), *candidates,
+                 governor);
   RefineStats local;
-
-  ScopedReserve bitmap_mem(governor, k * data.NumNodes(), GovernPoint::kRefine);
-
-  std::vector<std::vector<NodeId>> pnbr(k);
-  for (size_t u = 0; u < k; ++u) {
-    pnbr[u] = UniqueNeighbors(p, static_cast<NodeId>(u));
-  }
-
-  // The candidate bitmaps are written only at level barriers by the
-  // coordinator; during a level the workers read them concurrently.
-  std::vector<std::vector<char>> in_cand(k,
-                                         std::vector<char>(data.NumNodes(), 0));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) in_cand[u][v] = 1;
-  }
-
-  using MarkedSet =
-      std::unordered_set<uint64_t, std::hash<uint64_t>, std::equal_to<uint64_t>,
-                         GovernedAllocator<uint64_t>>;
-  MarkedSet marked(0, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-                   GovernedAllocator<uint64_t>(governor, GovernPoint::kRefine));
-  for (size_t u = 0; u < k; ++u) {
-    for (NodeId v : (*candidates)[u]) {
-      marked.insert(PairKey(static_cast<NodeId>(u), v));
-    }
-  }
 
   struct WorkerState {
     GovernorShard shard;
@@ -573,14 +278,24 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
 
   for (int l = 0; l < level; ++l) {
     local.levels_run = l + 1;
+    // The level's worklist in the serial order: marked pairs ascending, or
+    // (no marking) surviving pairs in candidate-list order.
     std::vector<uint64_t> todo;
     if (use_marking) {
-      todo.assign(marked.begin(), marked.end());
-      std::sort(todo.begin(), todo.end());
+      todo.reserve(st.marked_count());
+      for (size_t u = 0; u < k; ++u) {
+        st.marked().ForEachInRow(u, [&](size_t v) {
+          todo.push_back(PairKey(static_cast<NodeId>(u),
+                                 static_cast<NodeId>(v)));
+          return true;
+        });
+      }
     } else {
       for (size_t u = 0; u < k; ++u) {
         for (NodeId v : (*candidates)[u]) {
-          if (in_cand[u][v]) todo.push_back(PairKey(static_cast<NodeId>(u), v));
+          if (st.InCand(static_cast<NodeId>(u), v)) {
+            todo.push_back(PairKey(static_cast<NodeId>(u), v));
+          }
         }
       }
     }
@@ -589,8 +304,10 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
     // Jacobi check phase: every pair is tested against the level-start
     // bitmaps; failing pairs are buffered, never applied in-flight.
     std::vector<char> remove(todo.size(), 0);
-    // Charge the level's worklist and verdict buffers (mirrors the
-    // snapshot parallel path); released at the level barrier.
+    // The materialized worklist and verdict buffer are the level's real
+    // transient allocations (up to k*n pairs); charge them so a memory
+    // budget smaller than the refinement state trips here, not only at
+    // the bitmap reserve. Released at the level barrier.
     ScopedReserve level_mem(governor,
                             todo.size() * sizeof(uint64_t) + remove.size(),
                             GovernPoint::kRefine);
@@ -603,21 +320,7 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
       }
       NodeId u = static_cast<NodeId>(todo[i] >> 32);
       NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
-      const std::vector<NodeId>& nu = pnbr[u];
-      if (nu.empty()) return;  // Isolated pattern node: keep.
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      s.adj.assign(nu.size(), {});
-      for (size_t a = 0; a < nu.size(); ++a) {
-        const std::vector<char>& row = in_cand[nu[a]];
-        for (size_t b = 0; b < nv.size(); ++b) {
-          if (row[nv[b]]) s.adj[a].push_back(static_cast<int>(b));
-        }
-      }
-      ++s.bipartite_checks;
-      if (!HasSemiPerfectMatching(static_cast<int>(nu.size()),
-                                  static_cast<int>(nv.size()), s.adj)) {
-        remove[i] = 1;
-      }
+      if (!st.Feasible(u, v, &s.adj, &s.bipartite_checks)) remove[i] = 1;
     };
     ThreadPool::RunStats run = tp.ParallelFor(todo.size(), workers, check_pair);
     tasks_stolen += run.stolen;
@@ -631,44 +334,31 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
       break;
     }
 
-    // Barrier: apply buffered removals in deterministic pair order and
-    // re-mark the neighbors whose bipartite test they can affect.
+    // Barrier: apply buffered removals in pair order and re-mark the
+    // neighbors whose bipartite test they can affect.
     bool changed = false;
     for (size_t i = 0; i < todo.size(); ++i) {
-      uint64_t key = todo[i];
-      NodeId u = static_cast<NodeId>(key >> 32);
-      NodeId v = static_cast<NodeId>(key & 0xffffffffu);
+      NodeId u = static_cast<NodeId>(todo[i] >> 32);
+      NodeId v = static_cast<NodeId>(todo[i] & 0xffffffffu);
       if (!remove[i]) {
-        marked.erase(key);
+        st.ClearMark(u, v);
         continue;
       }
-      in_cand[u][v] = 0;
-      marked.erase(key);
+      st.Remove(u, v);
       changed = true;
       ++local.removed;
-      std::vector<NodeId> nv = UniqueNeighbors(data, v);
-      for (NodeId u2 : pnbr[u]) {
-        for (NodeId v2 : nv) {
-          if (in_cand[u2][v2]) marked.insert(PairKey(u2, v2));
-        }
-      }
     }
-    if (!changed && use_marking && marked.empty()) break;
+    if (!changed && use_marking && st.marked_count() == 0) break;
     if (!changed && !use_marking) break;
   }
 
-  for (size_t u = 0; u < k; ++u) {
-    std::vector<NodeId>& list = (*candidates)[u];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeId v) { return !in_cand[u][v]; }),
-               list.end());
-  }
+  st.WriteBack(candidates);
 
   for (WorkerState& s : ws) {
     // A trip surfacing only at this final flush (small workloads never
     // reach an in-stage flush) still aborts the refinement: the pipeline's
-    // degrade fallback then restores the snapshot and refunds the charge,
-    // matching the serial per-pair cadence.
+    // degrade fallback then restores the unrefined sets and refunds the
+    // charge, matching the serial per-pair cadence.
     if (!s.shard.Flush()) local.aborted = true;
     local.bipartite_checks += s.bipartite_checks;
     local.pairs_charged += s.shard.charged();
@@ -678,22 +368,7 @@ void RefineSearchSpaceParallel(const algebra::GraphPattern& pattern,
     pstats->tasks_stolen = tasks_stolen;
     pstats->lanes = std::move(lanes);
   }
-
-  if (stats != nullptr) {
-    stats->bipartite_checks += local.bipartite_checks;
-    stats->removed += local.removed;
-    stats->dirty_skips += local.dirty_skips;
-    stats->levels_run = local.levels_run;
-    stats->pairs_charged += local.pairs_charged;
-    stats->aborted |= local.aborted;
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("match.refine.bipartite_checks")
-        ->Increment(local.bipartite_checks);
-    metrics->GetCounter("match.refine.removed")->Increment(local.removed);
-    metrics->GetCounter("match.refine.levels")
-        ->Increment(static_cast<uint64_t>(local.levels_run));
-  }
+  FlushRefineStats(local, stats, metrics);
 }
 
 }  // namespace graphql::match

@@ -53,12 +53,13 @@ struct RefineStats {
 /// and `stats->pairs_charged` lets the caller refund the spent steps when
 /// it discards the partial refinement.
 ///
-/// When `snap` is given (a snapshot compiled from `data`), the pass runs
-/// over packed 64-bit candidate/marked bitmaps and the snapshot's unique-
-/// neighbor spans: identical removal decisions in the identical order, at
-/// roughly 1/8 the governed transient memory (byte bitmap + hashed marked
-/// set replaced by two bit matrices) and without per-pair neighbor-list
-/// allocation.
+/// The pass reads the data graph only through its GraphSnapshot: `snap`
+/// when given (it must be compiled from `data`), otherwise data.snapshot()
+/// fetched once on the calling thread. Candidates and dirty marks live in
+/// packed k x n bitmaps; data neighbor sets are the snapshot's sorted
+/// unique-neighbor spans. With marking, dirty pairs drain in ascending
+/// (u, v) order and a removal is visible to the later pairs of its level
+/// (Gauss-Seidel).
 void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
                        int level, std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats = nullptr, bool use_marking = true,
@@ -78,7 +79,9 @@ struct ParallelRefineStats {
 /// Parallel refinement: within each level the (u, v) pair checks are
 /// independent reads of the level-start candidate bitmaps, so they fan out
 /// across workers; removals are buffered per pair and applied at a level
-/// barrier by the coordinator (which also re-marks dirty neighbors).
+/// barrier by the coordinator (which also re-marks dirty neighbors). It
+/// shares its state (bitmaps, bipartite test, re-marking, write-back) with
+/// RefineSearchSpace and differs only in level scheduling.
 ///
 /// Semantics: the serial pass is Gauss-Seidel within a level (a removal is
 /// visible to later pairs of the same level) while this pass is Jacobi (it
@@ -88,7 +91,9 @@ struct ParallelRefineStats {
 /// Workers charge the governor through per-worker shards; on a trip the
 /// current level's buffered removals are discarded (`stats->aborted`), and
 /// `stats->pairs_charged` reports exactly the steps flushed so the
-/// degrade-fallback refund stays balanced.
+/// degrade-fallback refund stays balanced. `num_threads` < 1 runs
+/// RefineSearchSpace. A null `snap` is fetched from `data` before the
+/// fan-out.
 void RefineSearchSpaceParallel(
     const algebra::GraphPattern& pattern, const Graph& data, int level,
     std::vector<std::vector<NodeId>>* candidates, RefineStats* stats = nullptr,

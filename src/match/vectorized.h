@@ -15,38 +15,30 @@ class MetricsRegistry;
 
 namespace graphql::match {
 
-/// Candidate-selection kernel for the snapshot retrieve stage.
-///  - kScalar:   per-candidate NodeCompatible probes (the legacy path).
+/// Candidate-selection kernel for the retrieve stage. ResolveSelectionKernel
+/// picks one per pattern node; there is no user-facing choice.
 ///  - kBitmap:   column-at-a-time evaluation — tag and attribute-equality
 ///               requirements fill a PackedBits verdict row over all data
 ///               nodes, survivors evaluate pushed predicates.
 ///  - kBytecode: per-candidate probes against pre-bound columns with pushed
 ///               predicates run as compiled bytecode (AST fallback for
 ///               uncovered conjuncts).
-///  - kAuto:     per-pattern-node choice — bitmap for dense base lists
-///               (full scans), bytecode for selective label-indexed lists.
-/// All kernels produce bit-identical candidate lists (content and order),
-/// charge the governor at the same sites with the same amounts, and feed
-/// the same stage metrics as kScalar.
-enum class SelectionKernel : uint8_t { kAuto = 0, kScalar, kBitmap, kBytecode };
+/// Both kernels give the verdicts of GraphPattern::NodeCompatible, keep
+/// base-list order, and charge the governor at the same sites with the
+/// same amounts.
+enum class SelectionKernel : uint8_t { kBitmap = 0, kBytecode };
 
-/// Stable lowercase name ("auto", "scalar", "bitmap", "bytecode") for
-/// metrics, EXPLAIN output, and bench provenance stamps.
+/// Stable lowercase name ("bitmap", "bytecode") for bench lanes.
 const char* SelectionKernelName(SelectionKernel k);
 
-/// Session default: parses $GQL_SELECTION (auto|scalar|bitmap|bytecode,
-/// case-sensitive); kAuto when unset or unrecognized.
-SelectionKernel DefaultSelectionKernel();
-
-/// Picks the concrete kernel for one pattern node's scan. `base_size` is
-/// the candidate base-list length, `num_nodes` the snapshot node count,
-/// `dense_base` whether the base list is the full node range (no label
-/// index). kScalar/kBitmap/kBytecode pass through; kAuto resolves by
-/// density: a bitmap fill costs one pass over the requirement columns
-/// regardless of base size, so it only pays off when the base list covers
-/// a large fraction of the graph.
-SelectionKernel ResolveSelectionKernel(SelectionKernel requested,
-                                       size_t base_size, size_t num_nodes,
+/// Picks the kernel for one pattern node's scan. `base_size` is the
+/// candidate base-list length, `num_nodes` the snapshot node count,
+/// `dense_base` whether the base list is the full node range (a wildcard
+/// node with no label or attribute index). A bitmap fill costs one pass
+/// over the requirement columns regardless of base size, so it is chosen
+/// for dense bases and for bases covering at least a quarter of the graph;
+/// bytecode probes serve everything more selective.
+SelectionKernel ResolveSelectionKernel(size_t base_size, size_t num_nodes,
                                        bool dense_base);
 
 /// Per-(pattern, snapshot) compiled selection state shared by the bitmap
@@ -100,8 +92,8 @@ class SelectionPlan {
   std::vector<NodePlan> nodes_;
 };
 
-/// Scans one base list with a resolved (non-scalar) kernel, appending the
-/// surviving candidates to `out` in base-list order. For kBitmap, `bits`
+/// Scans one base list with the given kernel, appending the surviving
+/// candidates to `out` in base-list order. For kBitmap, `bits`
 /// must be a 2 x num_nodes scratch (filled here); unused for kBytecode.
 void ScanBaseList(const SelectionPlan& plan, NodeId u, const Graph& data,
                   const std::vector<NodeId>& base, SelectionKernel resolved,

@@ -108,6 +108,27 @@ TEST(ResourceGovernorTest, StepBudgetTripsExactlyAndSticks) {
   EXPECT_EQ(gov.trip_point(), GovernPoint::kSearch);
 }
 
+TEST(ResourceGovernorTest, DirectShardChargesWithoutBatching) {
+  // A batching shard holds steps until it flushes; a direct shard (one
+  // worker on the calling thread) charges the governor on every call, so
+  // it trips exactly where the serial code would.
+  ResourceGovernor batched_gov(GovernorLimits{.max_steps = 100});
+  GovernorShard batched(&batched_gov, GovernPoint::kRetrieve);
+  EXPECT_TRUE(batched.Charge(101));
+  EXPECT_FALSE(batched_gov.tripped());
+  EXPECT_FALSE(batched.Flush());
+  EXPECT_EQ(batched_gov.trip_point(), GovernPoint::kRetrieve);
+
+  ResourceGovernor direct_gov(GovernorLimits{.max_steps = 100});
+  GovernorShard direct(&direct_gov, GovernPoint::kRetrieve, /*direct=*/true);
+  EXPECT_TRUE(direct.Charge(100));
+  EXPECT_FALSE(direct.Charge(1));
+  EXPECT_EQ(direct_gov.trip_kind(), TripKind::kSteps);
+  EXPECT_EQ(direct_gov.trip_point(), GovernPoint::kRetrieve);
+  EXPECT_FALSE(direct.Charge(1));  // Sticky; nothing more is counted.
+  EXPECT_EQ(direct.charged(), 101u);
+}
+
 TEST(ResourceGovernorTest, DeadlineTrips) {
   ResourceGovernor gov(GovernorLimits{.timeout_ms = 10});
   auto start = std::chrono::steady_clock::now();

@@ -1,27 +1,22 @@
-// Differential acceptance tests for the compiled-snapshot selection path:
-// MatchPattern must produce byte-for-byte identical results — the same
-// matches, in the same order — whether it runs over the mutable Graph
-// structures or over the frozen GraphSnapshot (CSR + interned symbols +
-// columnar attributes), across every pipeline configuration. A second
-// sweep runs every example query under both paths through the full
-// Evaluator. A final test pins down that the snapshot inner loops count
-// symbol-id probes (no std::string comparisons).
+// Differential acceptance tests for the match pipeline, which reads the
+// data graph only through its compiled GraphSnapshot (CSR + interned
+// symbols + columnar attributes). Every pipeline configuration must return
+// exactly the match set of the brute-force oracle, which reads the mutable
+// Graph; the parallel configurations must agree bit for bit (content and
+// order). A final test pins down that the inner loops count symbol-id
+// probes (no std::string comparisons).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "exec/evaluator.h"
-#include "io/serialize.h"
+#include "brute_force_matches.h"
 #include "match/pipeline.h"
 #include "motif/deriver.h"
 #include "obs/metrics.h"
-#include "workload/dblp.h"
 #include "workload/erdos_renyi.h"
 
 namespace graphql::match {
@@ -78,34 +73,42 @@ TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
 
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
+    const std::set<std::vector<NodeId>> want =
+        oracle::BruteForceMatches(patterns[pi], data);
+    EXPECT_FALSE(want.empty()) << "vacuous differential, pattern " << pi;
     for (CandidateMode mode : {CandidateMode::kLabelOnly,
                                CandidateMode::kProfile,
                                CandidateMode::kNeighborhood}) {
-      for (int threads : {0, 1, 3}) {
-        for (int refine_level : {-1, 0, 2}) {
-          for (bool marking : {true, false}) {
-            PipelineOptions legacy;
-            legacy.candidate_mode = mode;
-            legacy.num_threads = threads;
-            legacy.refine_level = refine_level;
-            legacy.refine_use_marking = marking;
-            legacy.use_snapshot = false;
-            legacy.metrics = nullptr;
-            PipelineOptions snap = legacy;
-            snap.use_snapshot = true;
-
-            auto legacy_result =
-                MatchPattern(patterns[pi], data, &index, legacy);
-            auto snap_result = MatchPattern(patterns[pi], data, &index, snap);
-            ASSERT_TRUE(legacy_result.ok()) << legacy_result.status();
-            ASSERT_TRUE(snap_result.ok()) << snap_result.status();
-            EXPECT_EQ(Fingerprint(*legacy_result), Fingerprint(*snap_result))
-                << "pattern " << pi << " mode " << CandidateModeName(mode)
-                << " threads " << threads << " refine " << refine_level
-                << " marking " << marking;
-            if (mode == CandidateMode::kProfile && threads == 0 &&
-                refine_level == -1 && marking) {
-              EXPECT_FALSE(legacy_result->empty()) << "vacuous differential";
+      for (int refine_level : {-1, 0, 2}) {
+        for (bool marking : {true, false}) {
+          // Threads 1 and 3 run the same Jacobi refinement and per-root
+          // search, so their match lists must agree bit for bit.
+          std::string parallel_fingerprint;
+          for (int threads : {0, 1, 3}) {
+            PipelineOptions options;
+            options.candidate_mode = mode;
+            options.num_threads = threads;
+            options.refine_level = refine_level;
+            options.refine_use_marking = marking;
+            options.metrics = nullptr;
+            auto got = MatchPattern(patterns[pi], data, &index, options);
+            ASSERT_TRUE(got.ok()) << got.status();
+            std::set<std::vector<NodeId>> got_set;
+            for (const algebra::MatchedGraph& m : *got) {
+              got_set.insert(m.node_mapping);
+            }
+            const std::string config =
+                "pattern " + std::to_string(pi) + " mode " +
+                CandidateModeName(mode) + " threads " +
+                std::to_string(threads) + " refine " +
+                std::to_string(refine_level) + " marking " +
+                std::to_string(marking);
+            EXPECT_EQ(got->size(), got_set.size()) << "duplicates, " << config;
+            EXPECT_EQ(got_set, want) << config;
+            if (threads == 1) {
+              parallel_fingerprint = Fingerprint(*got);
+            } else if (threads == 3) {
+              EXPECT_EQ(parallel_fingerprint, Fingerprint(*got)) << config;
             }
           }
         }
@@ -114,133 +117,12 @@ TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
   }
 }
 
-TEST(SnapshotDifferentialTest, RetrieveCandidatesIdentical) {
-  Graph data = MakeData();
-  LabelIndex index = LabelIndex::Build(data);
-  auto snap = data.snapshot();
-  for (const algebra::GraphPattern& p : MakePatterns()) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
-      PipelineOptions options;
-      options.candidate_mode = mode;
-      options.metrics = nullptr;
-      auto legacy = RetrieveCandidates(p, data, &index, options, nullptr,
-                                       nullptr);
-      auto fast = RetrieveCandidates(p, data, &index, options, nullptr,
-                                     snap.get());
-      EXPECT_EQ(legacy, fast) << CandidateModeName(mode);
-    }
-  }
-}
-
-/// Synthetic documents that give every example query real matches.
-void RegisterExampleDocs(exec::DocumentRegistry* docs) {
-  {
-    Rng rng(7);
-    workload::DblpOptions opts;
-    opts.num_papers = 12;
-    docs->Register("DBLP", workload::MakeDblpCollection(opts, &rng));
-  }
-  {
-    Rng rng(9);
-    workload::ErdosRenyiOptions opts;
-    opts.num_nodes = 12;
-    opts.num_edges = 18;
-    opts.num_labels = 2;
-    GraphCollection network("Network");
-    network.Add(workload::MakeErdosRenyi(opts, &rng));
-    docs->Register("Network", std::move(network));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Catalog {
-        node a <item weight=5>; node b <item weight=3>;
-        node c <item weight=12>; node d <item weight=1>;
-        edge (a, b); edge (a, c); edge (b, d); edge (c, d);
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Catalog");
-    c.Add(std::move(g).value());
-    docs->Register("Catalog", std::move(c));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Shipping {
-        node oslo <port country="NO">; node bergen <port country="NO">;
-        node hamburg <port country="DE">; node rotterdam <port country="NL">;
-        edge leg1 (oslo, hamburg); edge leg2 (hamburg, rotterdam);
-        edge leg3 (bergen, oslo);
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Shipping");
-    c.Add(std::move(g).value());
-    docs->Register("Shipping", std::move(c));
-  }
-  {
-    auto g = motif::GraphFromSource(R"(
-      graph Topology {
-        node r1 <router name="r1">; node r2 <router name="r2">;
-        node r3 <router name="r3">;
-        edge (r1, r2) <capacity=400>; edge (r2, r3) <capacity=40>;
-        edge (r3, r1) <capacity=1000>;
-      })");
-    ASSERT_TRUE(g.ok()) << g.status();
-    GraphCollection c("Topology");
-    c.Add(std::move(g).value());
-    docs->Register("Topology", std::move(c));
-  }
-}
-
-TEST(SnapshotDifferentialTest, ExampleQueriesBitIdentical) {
-  namespace fs = std::filesystem;
-  fs::path dir(GQL_EXAMPLE_QUERIES_DIR);
-  ASSERT_TRUE(fs::is_directory(dir)) << dir;
-  size_t ran = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() != ".gql") continue;
-    std::ifstream file(entry.path());
-    ASSERT_TRUE(file.good()) << entry.path();
-    std::ostringstream source;
-    source << file.rdbuf();
-
-    std::string texts[2];
-    for (int pass = 0; pass < 2; ++pass) {
-      exec::DocumentRegistry docs;
-      RegisterExampleDocs(&docs);
-      exec::Evaluator evaluator(&docs);
-      evaluator.mutable_match_options()->use_snapshot = pass == 1;
-      evaluator.mutable_match_options()->metrics = nullptr;
-      auto result = evaluator.RunSource(source.str());
-      ASSERT_TRUE(result.ok())
-          << entry.path() << ": " << result.status();
-      std::ostringstream text;
-      text << io::WriteCollectionText(result->returned);
-      std::vector<std::string> names;
-      for (const auto& [name, graph] : result->variables) {
-        names.push_back(name);
-      }
-      std::sort(names.begin(), names.end());
-      for (const std::string& name : names) {
-        text << "--- " << name << "\n"
-             << io::WriteGraphText(result->variables.at(name)) << "\n";
-      }
-      texts[pass] = text.str();
-    }
-    EXPECT_EQ(texts[0], texts[1]) << entry.path();
-    ++ran;
-  }
-  EXPECT_GE(ran, 5u) << "example queries missing from " << dir;
-}
-
 TEST(SnapshotDifferentialTest, InnerLoopsCountSymbolProbes) {
-  // The snapshot path's edge probes and refinement passes are observable
-  // through dedicated counters; the legacy path leaves them untouched.
+  // The search's edge probes are observable through a dedicated counter.
   // Together with the code structure (SymbolId compares in
-  // FindCompatibleEdgeSnap / RefineSnap*), this pins the "no std::string
-  // in the inner loop" property.
-  // Tagged pattern edges are the non-trivial case: each one routes through
-  // FindCompatibleEdge, whose snapshot variant scans the CSR run.
+  // FindCompatibleEdge), this pins the "no std::string in the inner loop"
+  // property. Tagged pattern edges are the non-trivial case: each one
+  // routes through FindCompatibleEdge, which scans the CSR run.
   auto data_or = motif::GraphFromSource(R"(
     graph G {
       node a <label="A">; node b <label="B">; node c <label="B">;
@@ -257,24 +139,11 @@ TEST(SnapshotDifferentialTest, InnerLoopsCountSymbolProbes) {
   algebra::GraphPattern pattern =
       algebra::GraphPattern::FromGraph(*pattern_or);
 
-  obs::MetricsRegistry legacy_reg;
-  PipelineOptions legacy;
-  legacy.use_snapshot = false;
-  legacy.metrics = &legacy_reg;
-  ASSERT_TRUE(MatchPattern(pattern, data, &index, legacy).ok());
-  EXPECT_EQ(legacy_reg.GetCounter("match.search.csr_edge_probes")->Value(),
-            0u);
-  EXPECT_EQ(legacy_reg.GetCounter("match.refine.snapshot_passes")->Value(),
-            0u);
-  EXPECT_EQ(legacy_reg.GetCounter("snapshot.builds")->Value(), 0u);
-
-  obs::MetricsRegistry snap_reg;
-  PipelineOptions snap;
-  snap.use_snapshot = true;
-  snap.metrics = &snap_reg;
-  ASSERT_TRUE(MatchPattern(pattern, data, &index, snap).ok());
-  EXPECT_GT(snap_reg.GetCounter("match.search.csr_edge_probes")->Value(), 0u);
-  EXPECT_GT(snap_reg.GetCounter("match.refine.snapshot_passes")->Value(), 0u);
+  obs::MetricsRegistry reg;
+  PipelineOptions options;
+  options.metrics = &reg;
+  ASSERT_TRUE(MatchPattern(pattern, data, &index, options).ok());
+  EXPECT_GT(reg.GetCounter("match.search.csr_edge_probes")->Value(), 0u);
 }
 
 }  // namespace

@@ -1,26 +1,27 @@
-// Differential acceptance tests for the vectorized selection kernels:
-// MatchPattern must produce byte-for-byte identical results — the same
-// matches, in the same order — whether candidate selection runs the
-// scalar per-candidate probes, the column-at-a-time bitmap kernel, the
-// compiled predicate bytecode, or the automatic per-node choice. The
-// sweep covers candidate modes, serial and parallel runs, predicates
-// inside and outside the bytecode ISA, and governed queries (where the
-// identical charge schedule must make every kernel trip at the same
-// point and return the same partial results). A final sweep runs every
-// example query under all kernels through the full Evaluator.
+// Differential acceptance tests for candidate selection. The bitmap and
+// bytecode kernels, driven through ScanBaseList, must return exactly what
+// an in-test scalar oracle (GraphPattern::NodeCompatible per candidate)
+// returns, in base-list order, for predicates inside and outside the
+// bytecode ISA. The retrieve stage, which picks a kernel per pattern node
+// by ResolveSelectionKernel, must agree with the same oracle with and
+// without a label index and at every thread count. Governed queries must
+// trip at the same point on every run, and every example query must
+// render identically through the full Evaluator serial and parallel.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "brute_force_matches.h"
 #include "common/governor.h"
 #include "exec/evaluator.h"
+#include "graph/snapshot.h"
 #include "io/serialize.h"
 #include "match/pipeline.h"
 #include "match/vectorized.h"
@@ -32,9 +33,35 @@
 namespace graphql::match {
 namespace {
 
-constexpr SelectionKernel kAllKernels[] = {
-    SelectionKernel::kScalar, SelectionKernel::kBitmap,
-    SelectionKernel::kBytecode, SelectionKernel::kAuto};
+constexpr SelectionKernel kKernels[] = {SelectionKernel::kBitmap,
+                                        SelectionKernel::kBytecode};
+
+/// The scalar oracle: one NodeCompatible probe per base-list entry.
+std::vector<NodeId> ScalarScan(const algebra::GraphPattern& pattern, NodeId u,
+                               const GraphSnapshot& snap, const Graph& data,
+                               const std::vector<NodeId>& base) {
+  std::vector<NodeId> out;
+  for (NodeId v : base) {
+    if (pattern.NodeCompatible(u, snap, data, v)) out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<NodeId> AllNodes(const Graph& data) {
+  std::vector<NodeId> all(data.NumNodes());
+  for (size_t v = 0; v < all.size(); ++v) all[v] = static_cast<NodeId>(v);
+  return all;
+}
+
+/// The base lists the retrieve stage draws from: the label index list for
+/// a labelled node, every data node otherwise (LabelIndex::Build makes no
+/// attribute B+-trees).
+std::vector<NodeId> BaseList(const algebra::GraphPattern& pattern, NodeId u,
+                             const Graph& data, const LabelIndex* index) {
+  std::string_view label = pattern.graph().Label(u);
+  if (index != nullptr && !label.empty()) return index->NodesWithLabel(label);
+  return AllNodes(data);
+}
 
 /// A flat, order-sensitive fingerprint of a match list: any difference in
 /// content OR order shows up as a string diff.
@@ -102,92 +129,119 @@ std::vector<algebra::GraphPattern> MakePatterns() {
 TEST(VectorizedDifferentialTest, KernelsBitIdenticalAcrossConfigs) {
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
+  auto snap = data.snapshot();
+  std::vector<NodeId> all = AllNodes(data);
+  std::vector<NodeId> every_third;
+  for (NodeId v : all) {
+    if (v % 3 == 1) every_third.push_back(v);
+  }
+  std::vector<NodeId> reversed(all.rbegin(), all.rend());
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
-
+  size_t hits = 0;
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    for (CandidateMode mode : {CandidateMode::kLabelOnly,
-                               CandidateMode::kProfile,
-                               CandidateMode::kNeighborhood}) {
-      for (int threads : {0, 1, 3}) {
-        PipelineOptions base;
-        base.candidate_mode = mode;
-        base.num_threads = threads;
-        base.metrics = nullptr;
-        base.selection = SelectionKernel::kScalar;
-        auto scalar = MatchPattern(patterns[pi], data, &index, base);
-        ASSERT_TRUE(scalar.ok()) << scalar.status();
-        std::string want = Fingerprint(*scalar);
-        if (mode == CandidateMode::kProfile && threads == 0 && pi < 4) {
-          EXPECT_FALSE(scalar->empty()) << "vacuous differential, pattern "
-                                        << pi;
-        }
-        for (SelectionKernel kernel : kAllKernels) {
-          if (kernel == SelectionKernel::kScalar) continue;
-          PipelineOptions options = base;
-          options.selection = kernel;
-          auto got = MatchPattern(patterns[pi], data, &index, options);
-          ASSERT_TRUE(got.ok()) << got.status();
-          EXPECT_EQ(want, Fingerprint(*got))
-              << "pattern " << pi << " mode " << CandidateModeName(mode)
-              << " threads " << threads << " kernel "
-              << SelectionKernelName(kernel);
+    const algebra::GraphPattern& p = patterns[pi];
+    SelectionPlan plan(p, *snap, /*metrics=*/nullptr);
+    for (NodeId u = 0; u < static_cast<NodeId>(p.graph().NumNodes()); ++u) {
+      // Dense, sparse, label-indexed and descending base lists: each
+      // kernel must keep exactly the oracle's survivors in base order.
+      for (const std::vector<NodeId>& base :
+           {all, every_third, reversed, BaseList(p, u, data, &index)}) {
+        std::vector<NodeId> want = ScalarScan(p, u, *snap, data, base);
+        hits += want.size();
+        for (SelectionKernel kernel : kKernels) {
+          algebra::PatternScratch scratch;
+          PackedBits bits(2, snap->num_nodes());
+          std::vector<NodeId> got;
+          ScanBaseList(plan, u, data, base, kernel, &scratch, &bits, &got);
+          EXPECT_EQ(want, got) << "pattern " << pi << " node " << u
+                               << " base " << base.size() << " kernel "
+                               << SelectionKernelName(kernel);
         }
       }
     }
   }
+  EXPECT_GT(hits, 0u) << "vacuous differential";
+}
+
+TEST(VectorizedDifferentialTest, AutomaticKernelRuleBoundary) {
+  // A wildcard node (dense base) always gets the bitmap kernel.
+  EXPECT_EQ(ResolveSelectionKernel(1, 1000, /*dense_base=*/true),
+            SelectionKernel::kBitmap);
+  // Otherwise the bitmap kernel needs base_size * 4 >= num_nodes.
+  EXPECT_EQ(ResolveSelectionKernel(250, 1000, false), SelectionKernel::kBitmap);
+  EXPECT_EQ(ResolveSelectionKernel(1000, 1000, false),
+            SelectionKernel::kBitmap);
+  EXPECT_EQ(ResolveSelectionKernel(249, 1000, false),
+            SelectionKernel::kBytecode);
+  EXPECT_EQ(ResolveSelectionKernel(0, 1000, false), SelectionKernel::kBytecode);
+  EXPECT_EQ(ResolveSelectionKernel(0, 0, false), SelectionKernel::kBitmap);
 }
 
 TEST(VectorizedDifferentialTest, RetrieveCandidatesIdenticalAcrossKernels) {
+  // The retrieve stage mixes kernels per pattern node; label-only retrieval
+  // must equal the scalar oracle over the same base lists, and every mode
+  // must be identical at every thread count.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
   auto snap = data.snapshot();
   for (const algebra::GraphPattern& p : MakePatterns()) {
+    std::vector<std::vector<NodeId>> want;
+    for (NodeId u = 0; u < static_cast<NodeId>(p.graph().NumNodes()); ++u) {
+      want.push_back(
+          ScalarScan(p, u, *snap, data, BaseList(p, u, data, &index)));
+    }
     for (CandidateMode mode : {CandidateMode::kLabelOnly,
                                CandidateMode::kProfile,
                                CandidateMode::kNeighborhood}) {
       PipelineOptions options;
       options.candidate_mode = mode;
       options.metrics = nullptr;
-      options.selection = SelectionKernel::kScalar;
-      auto want = RetrieveCandidates(p, data, &index, options, nullptr,
-                                     snap.get());
-      for (SelectionKernel kernel : kAllKernels) {
-        options.selection = kernel;
-        auto got = RetrieveCandidates(p, data, &index, options, nullptr,
-                                      snap.get());
-        EXPECT_EQ(want, got) << CandidateModeName(mode) << " kernel "
-                             << SelectionKernelName(kernel);
+      options.num_threads = 0;
+      auto serial = RetrieveCandidates(p, data, &index, options);
+      if (mode == CandidateMode::kLabelOnly) {
+        EXPECT_EQ(want, serial);
+      }
+      for (int threads : {1, 3}) {
+        options.num_threads = threads;
+        EXPECT_EQ(serial,
+                  RetrieveCandidates(p, data, &index, options, nullptr,
+                                     snap.get()))
+            << CandidateModeName(mode) << " threads " << threads;
       }
     }
   }
 }
 
 TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
-  // index == nullptr exercises the full-scan retrieve, which has its own
-  // kernel dispatch (dense base: every node is a candidate).
+  // index == nullptr: every pattern node scans all data nodes (a dense
+  // base, so the bitmap kernel). Candidates must equal the scalar oracle
+  // and the matches must equal brute force.
   Graph data = MakeData();
+  auto snap = data.snapshot();
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    PipelineOptions base;
-    base.metrics = nullptr;
-    base.selection = SelectionKernel::kScalar;
-    auto scalar = MatchPattern(patterns[pi], data, nullptr, base);
-    ASSERT_TRUE(scalar.ok()) << scalar.status();
-    for (SelectionKernel kernel : kAllKernels) {
-      PipelineOptions options = base;
-      options.selection = kernel;
-      auto got = MatchPattern(patterns[pi], data, nullptr, options);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(Fingerprint(*scalar), Fingerprint(*got))
-          << "pattern " << pi << " kernel " << SelectionKernelName(kernel);
+    const algebra::GraphPattern& p = patterns[pi];
+    PipelineOptions options;
+    options.metrics = nullptr;
+    std::vector<std::vector<NodeId>> want;
+    for (NodeId u = 0; u < static_cast<NodeId>(p.graph().NumNodes()); ++u) {
+      want.push_back(ScalarScan(p, u, *snap, data,
+                                BaseList(p, u, data, /*index=*/nullptr)));
     }
+    EXPECT_EQ(want, RetrieveCandidates(p, data, nullptr, options))
+        << "pattern " << pi;
+    auto got = MatchPattern(p, data, nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status();
+    std::set<std::vector<NodeId>> got_set;
+    for (const algebra::MatchedGraph& m : *got) got_set.insert(m.node_mapping);
+    EXPECT_EQ(oracle::BruteForceMatches(p, data), got_set) << "pattern " << pi;
   }
 }
 
 TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
-  // The kernels charge the governor at the same sites with the same
-  // amounts, so a step budget must trip at the same point on every kernel
-  // and the degraded/partial results must match bit-for-bit.
+  // Kernel choice and charge sites are fixed by the query, so a step budget
+  // must trip at the same point on every run and the degraded/partial
+  // results must match bit for bit. Runs at the default $GQL_THREADS.
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
@@ -195,26 +249,23 @@ TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
     for (uint64_t max_steps : {50u, 400u, 5000u}) {
       std::string want;
       TripKind want_trip = TripKind::kNone;
-      bool first = true;
-      for (SelectionKernel kernel : kAllKernels) {
+      for (int run = 0; run < 4; ++run) {
         ResourceGovernor governor(GovernorLimits{.max_steps = max_steps});
         PipelineOptions options;
         options.metrics = nullptr;
-        options.selection = kernel;
         options.governor = &governor;
         auto got = MatchPattern(patterns[pi], data, &index, options);
         ASSERT_TRUE(got.ok()) << got.status();
-        if (first) {
+        if (run == 0) {
           want = Fingerprint(*got);
           want_trip = governor.trip_kind();
-          first = false;
         } else {
           EXPECT_EQ(want, Fingerprint(*got))
-              << "pattern " << pi << " max_steps " << max_steps << " kernel "
-              << SelectionKernelName(kernel);
+              << "pattern " << pi << " max_steps " << max_steps << " run "
+              << run;
           EXPECT_EQ(want_trip, governor.trip_kind())
-              << "pattern " << pi << " max_steps " << max_steps << " kernel "
-              << SelectionKernelName(kernel);
+              << "pattern " << pi << " max_steps " << max_steps << " run "
+              << run;
         }
       }
     }
@@ -233,7 +284,6 @@ TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {
   ASSERT_TRUE(covered.ok()) << covered.status();
   obs::MetricsRegistry covered_reg;
   PipelineOptions options;
-  options.selection = SelectionKernel::kBytecode;
   options.metrics = &covered_reg;
   ASSERT_TRUE(MatchPattern(*covered, data, &index, options).ok());
   EXPECT_GT(covered_reg.GetCounter("match.bytecode.pred_compiled")->Value(),
@@ -252,28 +302,6 @@ TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {
   EXPECT_GT(fallback_reg.GetCounter("match.bytecode.pred_fallback")->Value(),
             0u);
 
-  // The scalar kernel never builds a plan, so neither counter moves.
-  obs::MetricsRegistry scalar_reg;
-  options.selection = SelectionKernel::kScalar;
-  options.metrics = &scalar_reg;
-  ASSERT_TRUE(MatchPattern(*covered, data, &index, options).ok());
-  EXPECT_EQ(scalar_reg.GetCounter("match.bytecode.pred_compiled")->Value(),
-            0u);
-  EXPECT_EQ(scalar_reg.GetCounter("match.bytecode.pred_fallback")->Value(),
-            0u);
-}
-
-TEST(VectorizedDifferentialTest, DefaultKernelParsesEnvironment) {
-  ::setenv("GQL_SELECTION", "scalar", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kScalar);
-  ::setenv("GQL_SELECTION", "bitmap", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kBitmap);
-  ::setenv("GQL_SELECTION", "bytecode", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kBytecode);
-  ::setenv("GQL_SELECTION", "nonsense", 1);
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kAuto);
-  ::unsetenv("GQL_SELECTION");
-  EXPECT_EQ(DefaultSelectionKernel(), SelectionKernel::kAuto);
 }
 
 /// Synthetic documents that give every example query real matches.
@@ -334,7 +362,7 @@ void RegisterExampleDocs(exec::DocumentRegistry* docs) {
   }
 }
 
-TEST(VectorizedDifferentialTest, ExampleQueriesBitIdenticalAcrossKernels) {
+TEST(VectorizedDifferentialTest, ExampleQueriesBitIdenticalAcrossThreads) {
   namespace fs = std::filesystem;
   fs::path dir(GQL_EXAMPLE_QUERIES_DIR);
   ASSERT_TRUE(fs::is_directory(dir)) << dir;
@@ -347,11 +375,11 @@ TEST(VectorizedDifferentialTest, ExampleQueriesBitIdenticalAcrossKernels) {
     source << file.rdbuf();
 
     std::string want;
-    for (SelectionKernel kernel : kAllKernels) {
+    for (int threads : {0, 1, 3}) {
       exec::DocumentRegistry docs;
       RegisterExampleDocs(&docs);
       exec::Evaluator evaluator(&docs);
-      evaluator.mutable_match_options()->selection = kernel;
+      evaluator.mutable_match_options()->num_threads = threads;
       evaluator.mutable_match_options()->metrics = nullptr;
       auto result = evaluator.RunSource(source.str());
       ASSERT_TRUE(result.ok()) << entry.path() << ": " << result.status();
@@ -366,11 +394,11 @@ TEST(VectorizedDifferentialTest, ExampleQueriesBitIdenticalAcrossKernels) {
         text << "--- " << name << "\n"
              << io::WriteGraphText(result->variables.at(name)) << "\n";
       }
-      if (kernel == SelectionKernel::kScalar) {
+      if (threads == 0) {
         want = text.str();
       } else {
         EXPECT_EQ(want, text.str())
-            << entry.path() << " kernel " << SelectionKernelName(kernel);
+            << entry.path() << " threads " << threads;
       }
     }
     ++ran;
