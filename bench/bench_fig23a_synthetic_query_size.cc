@@ -74,6 +74,7 @@ void BM_Fig23a_Total(benchmark::State& state) {
     patterns.push_back(algebra::GraphPattern::FromGraph(q));
   }
 
+  ResourceGovernor hang_guard;
   size_t total_matches = 0;
   for (auto _ : state) {
     total_matches = 0;
@@ -93,8 +94,11 @@ void BM_Fig23a_Total(benchmark::State& state) {
           o.refine_level = 0;
           o.optimize_order = false;
           o.match.max_matches = kMaxHits;
-          o.match.max_steps = 200000000;  // Hang guard only.
           GovernBenchQuery(&o);
+          if (o.governor == nullptr) {  // Hang guard only.
+            hang_guard.Arm(GovernorLimits{.max_steps = 200000000});
+            o.governor = &hang_guard;
+          }
           auto m = match::MatchPattern(p, w.graph, &w.index, o);
           if (m.ok()) total_matches += m->size();
           break;

@@ -208,6 +208,7 @@ class ResourceGovernor {
   /// lock per ~1024 steps per worker. Must not race the single-threaded
   /// Charge(): during a parallel stage every participant (including the
   /// coordinating thread) charges through shards.
+  /// A batch of 0 steps is a thread-safe poll that charges nothing.
   bool ChargeBatch(uint64_t steps, GovernPoint point) GQL_EXCLUDES(shared_mu_);
 
   /// Thread-safe Reserve(), for allocations made on worker threads.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 
 #include "graph/snapshot.h"
@@ -10,134 +11,101 @@ namespace graphql::match {
 
 namespace {
 
-/// Shared DFS engine behind both SearchMatches entry points. Edge probes
-/// read the data graph's snapshot (options.snapshot, never null here).
-class SearchEngine {
+/// Read-only inputs of one search; every worker holds a copy. Edge probes
+/// read the data graph's snapshot.
+struct SearchPlan {
+  const algebra::GraphPattern& pattern;
+  const Graph& data;
+  const GraphSnapshot& snap;
+  const std::vector<std::vector<NodeId>>& candidates;
+  const std::vector<NodeId>& order;
+  ResourceGovernor* gov;
+  /// Per order position, the pattern edges whose other endpoint is mapped
+  /// earlier; checked when this position is assigned.
+  std::vector<std::vector<EdgeId>> back_edges;
+  /// An edge is trivial when it carries no constraint beyond existence.
+  std::vector<char> trivial_edge;
+};
+
+/// What one root task found: its matches in DFS order, the root-local step
+/// count at which each was emitted, and how the task ended.
+struct RootRun {
+  std::vector<algebra::MatchedGraph> matches;
+  std::vector<uint64_t> emitted_at;
+  SearchStats stats;         ///< steps counts the root's own try too.
+  uint64_t csr_probes = 0;   ///< CSR edge-run entries examined.
+  bool interrupted = false;  ///< The governor tripped during this root.
+  Status status;             ///< A global-predicate error ended the root.
+};
+
+/// One worker's DFS state. Run() explores one root of Phi(order[0]) with
+/// order[0] mapped to it. In `direct` mode (one worker, on the calling
+/// thread) every step is charged to the governor; otherwise the worker
+/// only polls the governor, every kCheckIntervalSteps steps, and abandons
+/// its root once the search has been settled at an earlier root (`cut`).
+/// The plan is copied, not referenced: the DFS writes `used_` through a
+/// char pointer, after which every value reached through another pointer
+/// must be reloaded, so the hot inputs sit one pointer away.
+class RootSearch {
  public:
-  SearchEngine(const algebra::GraphPattern& pattern, const Graph& data,
-               const std::vector<std::vector<NodeId>>& candidates,
-               const std::vector<NodeId>& order, const MatchOptions& options,
-               const std::function<bool(const algebra::MatchedGraph&)>& sink,
-               SearchStats* stats, obs::MetricsRegistry* metrics)
-      : pattern_(pattern),
-        p_(pattern.graph()),
-        data_(data),
-        snap_(*options.snapshot),
-        candidates_(candidates),
-        order_(order),
-        options_(options),
-        sink_(&sink),
-        stats_(stats),
-        metrics_(metrics) {
-    assign_.assign(p_.NumNodes(), kInvalidNode);
-    edge_assign_.assign(p_.NumEdges(), kInvalidEdge);
-    used_.assign(data.NumNodes(), 0);
-    position_.assign(p_.NumNodes(), -1);
-    for (size_t i = 0; i < order_.size(); ++i) position_[order_[i]] = static_cast<int>(i);
-
-    // Per order position, the pattern edges whose other endpoint is mapped
-    // earlier; checked when this position is assigned.
-    back_edges_.resize(order_.size());
-    for (size_t e = 0; e < p_.NumEdges(); ++e) {
-      const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
-      int ps = position_[pe.src];
-      int pd = position_[pe.dst];
-      int later = std::max(ps, pd);
-      back_edges_[later].push_back(static_cast<EdgeId>(e));
-    }
-    // An edge is trivial when it carries no constraint beyond existence.
-    trivial_edge_.resize(p_.NumEdges());
-    for (size_t e = 0; e < p_.NumEdges(); ++e) {
-      const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
-      trivial_edge_[e] =
-          pe.attrs.empty() && !pattern.EdgeHasPredicates(static_cast<EdgeId>(e));
-    }
+  RootSearch(const SearchPlan& plan, bool direct,
+             const std::atomic<size_t>& cut)
+      : plan_(plan), direct_(direct), cut_(cut) {
+    assign_.assign(plan.pattern.graph().NumNodes(), kInvalidNode);
+    edge_assign_.assign(plan.pattern.graph().NumEdges(), kInvalidEdge);
+    used_.assign(plan.data.NumNodes(), 0);
   }
 
-  Status Run() {
-    if (order_.size() != p_.NumNodes()) {
-      return Status::InvalidArgument("search order must cover every pattern node");
-    }
-    if (p_.NumNodes() == 0) return Status::OK();
-    Dfs(0);
-    Flush();
-    return status_;
+  /// Searches root `r` into `run`, stopping after `cap` matches or once
+  /// more than `steps_left` steps were tried: no root-order prefix that
+  /// reaches this root can use more of either.
+  void Run(size_t r, size_t cap, uint64_t steps_left, RootRun* run) {
+    root_ = r;
+    cap_ = cap;
+    steps_left_ = steps_left;
+    run_ = run;
+    run->matches.clear();  // Keeps the capacity of the worker's last run.
+    run->emitted_at.clear();
+    run->interrupted = false;
+    run->status = Status::OK();
+    local_ = SearchStats{};
+    csr_probes_ = 0;
+    Try(0, plan_.order[0], plan_.candidates[plan_.order[0]][r]);
+    run->stats = local_;
+    run->csr_probes = csr_probes_;
   }
 
-  /// Parallel-mode plumbing: charge through a worker's governor shard and
-  /// evaluate edge predicates through its private pattern scratch, so the
-  /// engine never touches thread-unsafe shared state.
-  void set_shard(GovernorShard* shard) { shard_ = shard; }
-  void set_scratch(algebra::PatternScratch* scratch) { scratch_ = scratch; }
-
-  /// Explores one pinned root: order[0] is mapped to `root` only, matches
-  /// stream to `sink`. Match/status state resets per call; counters keep
-  /// accumulating across calls (one Flush per engine when the worker's
-  /// batch ends).
-  Status RunRoot(NodeId root,
-                 const std::function<bool(const algebra::MatchedGraph&)>& sink) {
-    sink_ = &sink;
-    matches_ = 0;
-    status_ = Status::OK();
-    pinned_root_ = root;
-    Dfs(0);
-    pinned_root_ = kInvalidNode;
-    return status_;
-  }
-
-  /// Counters accumulate in `local_` during the DFS (register increments,
-  /// no sharing); one flush at the end feeds the caller's stats and the
-  /// metrics registry. Run() flushes itself; RunRoot callers flush once
-  /// per engine after their last root.
-  void Flush() {
-    if (stats_ != nullptr) {
-      stats_->steps += local_.steps;
-      stats_->edge_checks += local_.edge_checks;
-      stats_->backtracks += local_.backtracks;
-      stats_->budget_exhausted |= local_.budget_exhausted;
-      stats_->truncated |= local_.truncated;
-      stats_->governor_tripped |= local_.governor_tripped;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("match.search.steps")->Increment(local_.steps);
-      metrics_->GetCounter("match.search.edge_checks")
-          ->Increment(local_.edge_checks);
-      metrics_->GetCounter("match.search.backtracks")
-          ->Increment(local_.backtracks);
-      metrics_->GetCounter("match.search.matches")->Increment(emitted_);
-      if (local_.budget_exhausted) {
-        metrics_->GetCounter("match.search.budget_exhausted")->Increment();
-      }
-      if (local_.truncated) {
-        metrics_->GetCounter("match.search.truncated")->Increment();
-      }
-      if (local_csr_probes_ != 0) {
-        metrics_->GetCounter("match.search.csr_edge_probes")
-            ->Increment(local_csr_probes_);
-        local_csr_probes_ = 0;
-      }
+  /// Polls the governor for the steps tried since the last poll, as
+  /// GovernorShard::Flush does when a worker's batch ends.
+  void FinalPoll() {
+    if (!direct_ && plan_.gov != nullptr && unpolled_ != 0) {
+      plan_.gov->ChargeBatch(0, GovernPoint::kSearch);
     }
   }
 
  private:
-  bool Budget() {
-    if (options_.max_steps != 0 && local_.steps >= options_.max_steps) {
-      local_.budget_exhausted = true;
+  /// Counts one candidate try; false stops the root.
+  bool Tick() {
+    ++local_.steps;
+    if (!GovernorOk()) {
+      run_->interrupted = true;
       return false;
     }
-    if (shard_ != nullptr) {
-      if (!shard_->Charge()) {
-        local_.governor_tripped = true;
-        return false;
-      }
-      return true;
+    return local_.steps <= steps_left_ &&
+           (direct_ || root_ <= cut_.load(std::memory_order_relaxed));
+  }
+
+  /// Direct mode charges the step. Otherwise the worker charges nothing:
+  /// it polls (a batch of 0 steps) every kCheckIntervalSteps steps and
+  /// reads the sticky trip flag in between.
+  bool GovernorOk() {
+    if (plan_.gov == nullptr) return true;
+    if (direct_) return plan_.gov->Charge(1, GovernPoint::kSearch);
+    if (++unpolled_ < ResourceGovernor::kCheckIntervalSteps) {
+      return !plan_.gov->tripped();
     }
-    if (options_.governor != nullptr &&
-        !options_.governor->Charge(1, GovernPoint::kSearch)) {
-      local_.governor_tripped = true;
-      return false;
-    }
-    return true;
+    unpolled_ = 0;
+    return plan_.gov->ChargeBatch(0, GovernPoint::kSearch);
   }
 
   /// Finds a data edge from `from` to `to` compatible with pattern edge pe;
@@ -146,15 +114,14 @@ class SearchEngine {
   /// one. The pattern edge's interned tag prefilters the run without
   /// touching strings.
   EdgeId FindCompatibleEdge(EdgeId pe, NodeId from, NodeId to) {
-    SymbolId want_tag = pattern_.edge_tag_sym(pe);
-    for (const GraphSnapshot::AdjEntry& a : snap_.EdgesBetween(from, to)) {
-      ++local_csr_probes_;
+    SymbolId want_tag = plan_.pattern.edge_tag_sym(pe);
+    for (const GraphSnapshot::AdjEntry& a : plan_.snap.EdgesBetween(from, to)) {
+      ++csr_probes_;
       if (want_tag != kNoSymbol && a.tag_sym != want_tag) continue;
-      bool compatible =
-          scratch_ != nullptr
-              ? pattern_.EdgeCompatible(pe, snap_, data_, a.edge, scratch_)
-              : pattern_.EdgeCompatible(pe, snap_, data_, a.edge);
-      if (compatible) return a.edge;
+      if (plan_.pattern.EdgeCompatible(pe, plan_.snap, plan_.data, a.edge,
+                                       &scratch_)) {
+        return a.edge;
+      }
     }
     return kInvalidEdge;
   }
@@ -162,8 +129,8 @@ class SearchEngine {
   /// Check(u_i, v) of Algorithm 4.1: every pattern edge into the mapped
   /// prefix must have a compatible data edge.
   bool Check(size_t pos, NodeId u, NodeId v) {
-    for (EdgeId pe : back_edges_[pos]) {
-      const Graph::Edge& e = p_.edge(pe);
+    for (EdgeId pe : plan_.back_edges[pos]) {
+      const Graph::Edge& e = plan_.pattern.graph().edge(pe);
       NodeId other = e.src == u ? e.dst : e.src;
       NodeId mapped = assign_[other];
       // Direction: the data edge must run the same way as the pattern edge.
@@ -174,8 +141,8 @@ class SearchEngine {
         to = v;
       }
       ++local_.edge_checks;
-      if (!snap_.HasEdgeBetween(from, to)) return false;
-      if (trivial_edge_[pe]) {
+      if (!plan_.snap.HasEdgeBetween(from, to)) return false;
+      if (plan_.trivial_edge[pe]) {
         edge_assign_[pe] = kInvalidEdge;  // Resolved lazily on emit.
         continue;
       }
@@ -186,119 +153,211 @@ class SearchEngine {
     return true;
   }
 
+  /// Records a complete mapping; false once the root reached its cap.
   bool Emit() {
     algebra::MatchedGraph m;
-    m.pattern = &pattern_;
-    m.data = &data_;
+    m.pattern = &plan_.pattern;
+    m.data = &plan_.data;
     m.node_mapping = assign_;
     m.edge_mapping = edge_assign_;
-    for (size_t e = 0; e < p_.NumEdges(); ++e) {
+    for (size_t e = 0; e < plan_.pattern.graph().NumEdges(); ++e) {
       if (m.edge_mapping[e] == kInvalidEdge) {
-        const Graph::Edge& pe = p_.edge(static_cast<EdgeId>(e));
+        const Graph::Edge& pe =
+            plan_.pattern.graph().edge(static_cast<EdgeId>(e));
         // The lowest edge id in the (u, v) run.
         m.edge_mapping[e] =
-            snap_.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
+            plan_.snap.FindFirstEdge(assign_[pe.src], assign_[pe.dst]);
       }
     }
-    ++matches_;
-    ++emitted_;
     // Account the emitted mapping vectors against the memory budget; the
     // reservation lives until the governor is re-armed (matches belong to
     // the query's transient result set).
-    size_t match_bytes = m.node_mapping.size() * sizeof(NodeId) +
-                         m.edge_mapping.size() * sizeof(EdgeId);
-    if (shard_ != nullptr) {
-      shard_->Reserve(match_bytes);
-    } else if (options_.governor != nullptr) {
-      options_.governor->Reserve(match_bytes, GovernPoint::kSearch);
+    if (plan_.gov != nullptr) {
+      plan_.gov->ReserveShared(m.node_mapping.size() * sizeof(NodeId) +
+                              m.edge_mapping.size() * sizeof(EdgeId),
+                          GovernPoint::kSearch);
     }
-    if (!(*sink_)(m)) return false;
-    if (!options_.exhaustive) return false;
-    if (matches_ >= options_.max_matches) {
-      local_.truncated = true;
-      return false;
-    }
-    return true;
+    run_->matches.push_back(std::move(m));
+    run_->emitted_at.push_back(local_.steps);
+    return run_->matches.size() < cap_;
   }
 
-  /// Returns false to abort the whole search (budget/limit/sink).
+  /// One candidate try of Algorithm 4.1's Search: maps u = order[pos] to
+  /// `v` when Check passes and descends. Returns false to abort the root.
+  bool Try(size_t pos, NodeId u, NodeId v) {
+    if (!Tick()) return false;
+    if (!Check(pos, u, v)) return true;
+    assign_[u] = v;
+    used_[v] = 1;
+    bool keep_going = Dfs(pos + 1);
+    used_[v] = 0;
+    assign_[u] = kInvalidNode;
+    ++local_.backtracks;
+    return keep_going;
+  }
+
   bool Dfs(size_t pos) {
-    if (pos == order_.size()) {
-      if (pattern_.has_global_pred()) {
+    if (pos == plan_.order.size()) {
+      if (plan_.pattern.has_global_pred()) {
         Result<bool> ok =
-            pattern_.EvalGlobalPred(data_, assign_, edge_assign_);
+            plan_.pattern.EvalGlobalPred(plan_.data, assign_, edge_assign_);
         if (!ok.ok()) {
-          status_ = ok.status();
+          run_->status = ok.status();
           return false;
         }
         if (!ok.value()) return true;
       }
       return Emit();
     }
-    NodeId u = order_[pos];
-    // A pinned root replaces Phi(order[0]) with one candidate (parallel
-    // fan-out); deeper levels always draw from the full candidate lists.
-    const NodeId* begin = candidates_[u].data();
-    const NodeId* end = begin + candidates_[u].size();
-    if (pos == 0 && pinned_root_ != kInvalidNode) {
-      begin = &pinned_root_;
-      end = begin + 1;
-    }
-    for (const NodeId* it = begin; it != end; ++it) {
-      NodeId v = *it;
+    NodeId u = plan_.order[pos];
+    for (NodeId v : plan_.candidates[u]) {
       if (used_[v]) continue;
-      ++local_.steps;
-      if (!Budget()) return false;
-      if (!Check(pos, u, v)) continue;
-      assign_[u] = v;
-      used_[v] = 1;
-      bool keep_going = Dfs(pos + 1);
-      used_[v] = 0;
-      assign_[u] = kInvalidNode;
-      ++local_.backtracks;
-      if (!keep_going) return false;
+      if (!Try(pos, u, v)) return false;
     }
     return true;
   }
 
-  const algebra::GraphPattern& pattern_;
-  const Graph& p_;
-  const Graph& data_;
-  const GraphSnapshot& snap_;
-  const std::vector<std::vector<NodeId>>& candidates_;
-  const std::vector<NodeId>& order_;
-  const MatchOptions& options_;
-  const std::function<bool(const algebra::MatchedGraph&)>* sink_;
-  SearchStats* stats_;
-  obs::MetricsRegistry* metrics_;
-  GovernorShard* shard_ = nullptr;
-  algebra::PatternScratch* scratch_ = nullptr;
-  NodeId pinned_root_ = kInvalidNode;
-
+  const SearchPlan plan_;
+  const bool direct_;
+  const std::atomic<size_t>& cut_;
+  algebra::PatternScratch scratch_;
   std::vector<NodeId> assign_;
   std::vector<EdgeId> edge_assign_;
   std::vector<char> used_;
-  std::vector<int> position_;
-  std::vector<std::vector<EdgeId>> back_edges_;
-  std::vector<char> trivial_edge_;
-  SearchStats local_;
-  uint64_t local_csr_probes_ = 0;  ///< CSR edge-run entries examined.
-  size_t matches_ = 0;   ///< Matches this run (reset per pinned root).
-  size_t emitted_ = 0;   ///< Matches across the engine's lifetime.
-  Status status_;
+  size_t root_ = 0;
+  size_t cap_ = 0;
+  uint64_t steps_left_ = 0;
+  RootRun* run_ = nullptr;
+  SearchStats local_;       ///< This root's counters.
+  uint64_t csr_probes_ = 0;  ///< CSR edge-run entries examined.
+  uint64_t unpolled_ = 0;   ///< Steps since the last governor poll.
 };
 
-/// `options` with its snapshot filled in: the caller's, or the data graph's
-/// cached one (compiled on first use), kept alive by `holder`.
-MatchOptions WithSnapshot(const Graph& data, const MatchOptions& options,
-                          std::shared_ptr<const GraphSnapshot>* holder) {
-  MatchOptions out = options;
-  if (out.snapshot == nullptr) {
-    *holder = data.snapshot();
-    out.snapshot = holder->get();
+/// The search's result: root runs folded in root order until a stop rule
+/// settles where the one-worker search ends. `stats.steps` counts the
+/// candidate tries up to that point (a step-budget trip counts the step
+/// that crossed the budget, as ResourceGovernor::Charge does); the other
+/// counters add up the folded roots' work.
+struct Prefix {
+  std::vector<algebra::MatchedGraph> matches;
+  SearchStats stats;
+  uint64_t csr_probes = 0;
+  bool settled = false;
+  Status status;
+};
+
+/// Hands out roots in ascending order and folds finished runs into the
+/// prefix in root order. Shared by the search's workers.
+class RootScheduler {
+ public:
+  /// `cap` is the effective match cap (1 when not exhaustive), `budget`
+  /// the governor steps left when the search began (UINT64_MAX: none).
+  RootScheduler(size_t num_roots, size_t cap, uint64_t budget,
+                bool exhaustive)
+      : num_roots_(num_roots),
+        cap_(cap),
+        budget_(budget),
+        exhaustive_(exhaustive) {}
+
+  /// One worker: searches roots in ascending order until none is left or
+  /// the search is settled.
+  void Work(const SearchPlan& plan, bool direct) GQL_EXCLUDES(mu_) {
+    RootSearch search(plan, direct, cut_);
+    size_t r = SIZE_MAX;
+    size_t cap = 0;
+    uint64_t steps_left = 0;
+    RootRun run;
+    while (Next(&r, &cap, &steps_left, &run)) {
+      search.Run(r, cap, steps_left, &run);
+    }
+    search.FinalPoll();
   }
-  return out;
-}
+
+  /// The settled result; call once every worker has finished.
+  Prefix TakePrefix() GQL_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return std::move(prefix_);
+  }
+
+ private:
+  /// Hands back the run of root `*r` (SIZE_MAX: none yet) and claims the
+  /// next root into `*r`, with what the prefix folded so far leaves of the
+  /// cap and the budget; false once every root is claimed or the search
+  /// is settled.
+  bool Next(size_t* r, size_t* cap, uint64_t* steps_left, RootRun* run)
+      GQL_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    if (*r != SIZE_MAX) Finish(*r, run);
+    if (prefix_.settled || next_ == num_roots_) return false;
+    *r = next_++;
+    *cap = cap_ - prefix_.matches.size();
+    *steps_left = budget_ - prefix_.stats.steps;
+    return true;
+  }
+
+  /// Folds root `r`'s run and every parked run now contiguous with the
+  /// prefix; once the prefix settles, later roots are cut.
+  void Finish(size_t r, RootRun* run) GQL_REQUIRES(mu_) {
+    if (prefix_.settled) return;  // `r` is past the cut.
+    if (r != frontier_) {  // Waits for the roots before it.
+      ahead_.emplace(r, std::move(*run));
+      return;
+    }
+    Fold(run);
+    auto it = ahead_.begin();
+    while (!prefix_.settled && it != ahead_.end() &&
+           it->first == frontier_ + 1) {
+      ++frontier_;
+      Fold(&it->second);
+      it = ahead_.erase(it);
+    }
+    if (prefix_.settled) cut_.store(frontier_, std::memory_order_relaxed);
+    ++frontier_;
+  }
+
+  /// Appends the next root's run, applying the stop rules in the order
+  /// the one-worker DFS meets them.
+  void Fold(RootRun* run) GQL_REQUIRES(mu_) {
+    SearchStats& stats = prefix_.stats;
+    stats.edge_checks += run->stats.edge_checks;
+    stats.backtracks += run->stats.backtracks;
+    prefix_.csr_probes += run->csr_probes;
+    for (size_t i = 0; i < run->matches.size(); ++i) {
+      if (run->emitted_at[i] > budget_ - stats.steps) return TripBudget();
+      prefix_.matches.push_back(std::move(run->matches[i]));
+      if (prefix_.matches.size() >= cap_) {
+        stats.steps += run->emitted_at[i];
+        stats.truncated = exhaustive_;
+        prefix_.settled = true;
+        return;
+      }
+    }
+    if (run->stats.steps > budget_ - stats.steps) return TripBudget();
+    stats.steps += run->stats.steps;
+    stats.governor_tripped = run->interrupted;
+    if (!run->status.ok()) prefix_.status = std::move(run->status);
+    prefix_.settled = run->interrupted || !prefix_.status.ok();
+  }
+
+  void TripBudget() GQL_REQUIRES(mu_) {
+    prefix_.stats.steps = budget_ + 1;
+    prefix_.stats.governor_tripped = true;
+    prefix_.settled = true;
+  }
+
+  const size_t num_roots_;
+  const size_t cap_;
+  const uint64_t budget_;
+  const bool exhaustive_;
+  Mutex mu_;
+  size_t next_ GQL_GUARDED_BY(mu_) = 0;      ///< Next root to hand out.
+  size_t frontier_ GQL_GUARDED_BY(mu_) = 0;  ///< Next root to fold.
+  /// Runs that finished ahead of the frontier.
+  std::map<size_t, RootRun> ahead_ GQL_GUARDED_BY(mu_);
+  Prefix prefix_ GQL_GUARDED_BY(mu_);
+  /// The root the prefix settled at; later roots are abandoned.
+  std::atomic<size_t> cut_{SIZE_MAX};
+};
 
 }  // namespace
 
@@ -307,27 +366,8 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const std::vector<std::vector<NodeId>>& candidates,
     const std::vector<NodeId>& order, const MatchOptions& options,
     SearchStats* stats, obs::MetricsRegistry* metrics) {
-  std::vector<algebra::MatchedGraph> out;
-  auto sink = [&out](const algebra::MatchedGraph& m) {
-    out.push_back(m);
-    return true;
-  };
-  GQL_RETURN_IF_ERROR(SearchMatchesStreaming(pattern, data, candidates, order,
-                                             options, sink, stats, metrics));
-  return out;
-}
-
-Status SearchMatchesStreaming(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const std::vector<NodeId>& order, const MatchOptions& options,
-    const std::function<bool(const algebra::MatchedGraph&)>& sink,
-    SearchStats* stats, obs::MetricsRegistry* metrics) {
-  std::shared_ptr<const GraphSnapshot> holder;
-  MatchOptions opts = WithSnapshot(data, options, &holder);
-  SearchEngine engine(pattern, data, candidates, order, opts, sink, stats,
-                      metrics);
-  return engine.Run();
+  return SearchMatchesParallel(pattern, data, candidates, order, options,
+                               /*num_threads=*/0, nullptr, stats, metrics);
 }
 
 Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
@@ -336,131 +376,85 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const std::vector<NodeId>& order, const MatchOptions& options,
     int num_threads, ThreadPool* pool, SearchStats* stats,
     obs::MetricsRegistry* metrics, ParallelSearchStats* pstats) {
-  int workers = ResolveWorkers(num_threads, pool);
-  // The local step budget counts candidate tries in global DFS order — a
-  // per-root split cannot reproduce where it stops, so that knob stays on
-  // the serial path.
-  if (workers <= 0 || options.max_steps != 0 ||
-      pattern.graph().NumNodes() == 0 ||
-      order.size() != pattern.graph().NumNodes()) {
-    return SearchMatches(pattern, data, candidates, order, options, stats,
-                         metrics);
+  const Graph& p = pattern.graph();
+  if (order.size() != p.NumNodes()) {
+    return Status::InvalidArgument(
+        "search order must cover every pattern node");
   }
-  const std::vector<NodeId>& roots = candidates[order[0]];
-  if (roots.empty()) return std::vector<algebra::MatchedGraph>{};
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
   // Fetched here, on the calling thread: workers only read the snapshot.
   std::shared_ptr<const GraphSnapshot> holder;
-  const MatchOptions opts = WithSnapshot(data, options, &holder);
-
-  const size_t n = roots.size();
-  std::vector<std::vector<algebra::MatchedGraph>> per_root(n);
-  std::vector<Status> per_status(n, Status::OK());
-
-  struct WorkerState {
-    std::unique_ptr<SearchEngine> engine;
-    std::unique_ptr<obs::MetricsRegistry> metric_shard;
-    algebra::PatternScratch scratch;
-    GovernorShard shard;
-    SearchStats stats;
-    std::function<bool(const algebra::MatchedGraph&)> null_sink;
-  };
-  std::vector<WorkerState> ws(static_cast<size_t>(workers));
-
-  // In first-match mode roots ordered after a known hit cannot contribute:
-  // skip them cheaply instead of searching them to completion.
-  std::atomic<size_t> first_hit{SIZE_MAX};
-
-  auto run_root = [&](size_t r, int w) {
-    if (!options.exhaustive &&
-        first_hit.load(std::memory_order_relaxed) < r) {
-      return;
-    }
-    WorkerState& s = ws[static_cast<size_t>(w)];
-    if (s.engine == nullptr) {
-      s.shard = GovernorShard(options.governor, GovernPoint::kSearch);
-      if (metrics != nullptr) {
-        s.metric_shard = std::make_unique<obs::MetricsRegistry>();
-      }
-      s.null_sink = [](const algebra::MatchedGraph&) { return true; };
-      s.engine = std::make_unique<SearchEngine>(
-          pattern, data, candidates, order, opts, s.null_sink, &s.stats,
-          s.metric_shard.get());
-      s.engine->set_shard(&s.shard);
-      s.engine->set_scratch(&s.scratch);
-    }
-    std::vector<algebra::MatchedGraph>& out = per_root[r];
-    std::function<bool(const algebra::MatchedGraph&)> sink =
-        [&out](const algebra::MatchedGraph& m) {
-          out.push_back(m);
-          return true;
-        };
-    per_status[r] = s.engine->RunRoot(roots[r], sink);
-    if (!options.exhaustive && !out.empty()) {
-      size_t cur = first_hit.load(std::memory_order_relaxed);
-      while (r < cur && !first_hit.compare_exchange_weak(
-                            cur, r, std::memory_order_relaxed)) {
-      }
-    }
-  };
-  ThreadPool::RunStats run = tp.ParallelFor(n, workers, run_root);
-
-  for (WorkerState& s : ws) {
-    if (s.engine == nullptr) continue;
-    s.shard.Flush();
-    s.engine->Flush();
-    if (stats != nullptr) {
-      stats->steps += s.stats.steps;
-      stats->edge_checks += s.stats.edge_checks;
-      stats->backtracks += s.stats.backtracks;
-      stats->budget_exhausted |= s.stats.budget_exhausted;
-      stats->governor_tripped |= s.stats.governor_tripped;
-    }
-    if (metrics != nullptr && s.metric_shard != nullptr) {
-      metrics->Merge(s.metric_shard->Snapshot());
-    }
-  }
-  if (pstats != nullptr) {
-    pstats->workers = run.workers;
-    pstats->tasks_stolen = run.stolen;
-    pstats->lanes = run.lanes;
+  if (options.snapshot == nullptr) holder = data.snapshot();
+  ResourceGovernor* gov = options.governor;
+  SearchPlan plan{pattern, data,
+                  options.snapshot != nullptr ? *options.snapshot : *holder,
+                  candidates, order, gov, {}, {}};
+  std::vector<size_t> position(p.NumNodes());
+  for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  plan.back_edges.resize(order.size());
+  for (size_t e = 0; e < p.NumEdges(); ++e) {
+    const Graph::Edge& pe = p.edge(static_cast<EdgeId>(e));
+    plan.back_edges[std::max(position[pe.src], position[pe.dst])].push_back(
+        static_cast<EdgeId>(e));
+    plan.trivial_edge.push_back(
+        pe.attrs.empty() && !pattern.EdgeHasPredicates(static_cast<EdgeId>(e)));
   }
 
-  // Deterministic merge in root order. Per-root lists hold matches in that
-  // root's DFS order, and the serial search visits roots in this same
-  // order, so concatenation + the stop rules below reproduce its output
-  // exactly: the max_matches cap cuts at the same match, first-match mode
-  // takes the first non-empty root, and an error surfaces only if the
-  // serial search would have reached it before stopping.
-  std::vector<algebra::MatchedGraph> out;
-  bool truncated = false;
-  Status status = Status::OK();
-  for (size_t r = 0; r < n; ++r) {
-    bool stop = false;
-    for (algebra::MatchedGraph& m : per_root[r]) {
-      out.push_back(std::move(m));
-      if (!options.exhaustive) {
-        stop = true;
-        break;
-      }
-      if (out.size() >= options.max_matches) {
-        truncated = true;
-        stop = true;
-        break;
-      }
-    }
-    if (stop) break;
-    if (!per_status[r].ok()) {
-      status = per_status[r];
-      break;
+  const size_t num_roots = order.empty() ? 0 : candidates[order[0]].size();
+  uint64_t budget = UINT64_MAX;
+  if (gov != nullptr && gov->limits().max_steps != 0) {
+    const uint64_t max = gov->limits().max_steps;
+    budget = gov->steps_used() < max ? max - gov->steps_used() : 0;
+  }
+  RootScheduler scheduler(num_roots,
+                          options.exhaustive ? options.max_matches : 1,
+                          budget, options.exhaustive);
+  const int workers =
+      num_threads > 1 && num_roots > 1 ? ResolveWorkers(num_threads, pool) : 1;
+  if (workers <= 1) {
+    scheduler.Work(plan, /*direct=*/true);
+  } else {
+    ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Shared();
+    ThreadPool::RunStats run = tp.ParallelFor(
+        static_cast<size_t>(workers), workers, [&](size_t, int) {
+          scheduler.Work(plan, /*direct=*/false);
+        });
+    if (pstats != nullptr) {
+      pstats->workers = run.workers;
+      pstats->tasks_stolen = run.stolen;
+      pstats->lanes = run.lanes;
     }
   }
-  if (stats != nullptr) stats->truncated |= truncated;
-  if (metrics != nullptr && truncated) {
-    metrics->GetCounter("match.search.truncated")->Increment();
+
+  Prefix prefix = scheduler.TakePrefix();
+  const SearchStats& got = prefix.stats;
+  // Above one worker nothing was charged yet: one charge of the prefix's
+  // steps trips a crossed budget exactly as step-by-step charging does.
+  const bool charge_failed = workers > 1 && got.steps != 0 &&
+                             !GovCharge(gov, got.steps, GovernPoint::kSearch);
+  if (stats != nullptr) {
+    stats->steps += got.steps;
+    stats->edge_checks += got.edge_checks;
+    stats->backtracks += got.backtracks;
+    stats->truncated |= got.truncated;
+    stats->governor_tripped |= got.governor_tripped || charge_failed;
   }
-  if (!status.ok()) return status;
-  return out;
+  if (metrics != nullptr) {
+    metrics->GetCounter("match.search.steps")->Increment(got.steps);
+    metrics->GetCounter("match.search.edge_checks")
+        ->Increment(got.edge_checks);
+    metrics->GetCounter("match.search.backtracks")->Increment(got.backtracks);
+    metrics->GetCounter("match.search.matches")
+        ->Increment(prefix.matches.size());
+    if (got.truncated) {
+      metrics->GetCounter("match.search.truncated")->Increment();
+    }
+    if (prefix.csr_probes != 0) {
+      metrics->GetCounter("match.search.csr_edge_probes")
+          ->Increment(prefix.csr_probes);
+    }
+  }
+  if (!prefix.status.ok()) return prefix.status;
+  return std::move(prefix.matches);
 }
 
 std::vector<std::vector<NodeId>> ScanCandidates(

@@ -2,7 +2,6 @@
 #define GRAPHQL_MATCH_MATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "algebra/matched_graph.h"
@@ -23,11 +22,6 @@ struct MatchOptions {
   /// setup ("queries having too many hits (more than 1000) are terminated
   /// immediately"). SIZE_MAX disables the cap.
   size_t max_matches = SIZE_MAX;
-  /// Local search-step budget (candidate nodes tried); 0 = unlimited. On
-  /// exhaustion the search stops and reports the matches found so far.
-  /// Queries run through the evaluator set the governor instead; this knob
-  /// remains for callers driving SearchMatches directly.
-  uint64_t max_steps = 0;
   /// Optional per-query resource governor (deadline / cancellation /
   /// unified step budget / memory budget). Null = ungoverned. Every search
   /// step is charged to GovernPoint::kSearch; a trip ends the search with
@@ -42,12 +36,24 @@ struct MatchOptions {
 };
 
 struct SearchStats {
-  uint64_t steps = 0;           ///< Candidate nodes tried (Search loop).
-  uint64_t edge_checks = 0;     ///< Check() edge probes.
-  uint64_t backtracks = 0;      ///< Assignments undone during the DFS.
-  bool budget_exhausted = false;
+  /// Candidate nodes tried up to where the search stopped: the same count
+  /// at every worker count.
+  uint64_t steps = 0;
+  /// Check() edge probes and assignments undone by the roots up to the
+  /// cut; above one worker the root at the cut may have run past it.
+  uint64_t edge_checks = 0;
+  uint64_t backtracks = 0;
   bool truncated = false;       ///< Stopped due to max_matches.
   bool governor_tripped = false;  ///< Governor deadline/cancel/budget trip.
+};
+
+/// Execution counters specific to the search fan-out.
+struct ParallelSearchStats {
+  int workers = 0;  ///< Pool participants (0 when the roots ran inline).
+  uint64_t tasks_stolen = 0;  ///< Worker tasks run off their home deque.
+  /// One lane per OS thread that served the search fan-out; drawn by the
+  /// trace exporter.
+  std::vector<ThreadPool::WorkerLane> lanes;
 };
 
 /// The basic graph pattern matching search (Algorithm 4.1, second phase):
@@ -58,42 +64,30 @@ struct SearchStats {
 ///
 /// `candidates[u]` is the feasible-mate list Phi(u) for every pattern node
 /// (the first phase; see MatchPipeline for its construction), and `order`
-/// a permutation of the pattern's nodes.
+/// a permutation of the pattern's nodes. Candidates are assumed
+/// NodeCompatible (F_u already evaluated during retrieval); the search
+/// re-checks only edges and the global predicate.
 ///
-/// Candidates are assumed NodeCompatible (F_u already evaluated during
-/// retrieval); the search re-checks only edges and the global predicate.
+/// One search serves every worker count. Each root of Phi(order[0]) is a
+/// task; the result is the concatenation of the roots' matches in root
+/// order, cut where the first stop rule fires: the max_matches cap, the
+/// first match when not exhaustive, the governor's step budget, or a
+/// global-predicate error. Roots past the cut are skipped or abandoned,
+/// never searched to completion. At `num_threads` 0 or 1 the roots run
+/// inline on the calling thread and charge the governor step by step.
+/// Above one worker they run on `pool` (null = the shared pool) and only
+/// poll the governor's deadline, cancellation and fault injection; each
+/// root counts its steps and the step of every match it emits, and the
+/// calling thread charges the prefix's steps in root order. So the
+/// matches (set and order), `steps`, `truncated`, and a step-budget trip
+/// (kind, point, steps_used()) are the same at every worker count;
+/// deadline, cancellation, fault-injection and memory trips land where
+/// the workers happen to be.
 ///
-/// Counters are accumulated locally during the DFS and flushed once into
-/// `metrics` (match.search.{steps, edge_checks, backtracks, matches,
-/// budget_exhausted}) when the search finishes, so instrumentation adds no
+/// Counters are accumulated per root and flushed once into `metrics`
+/// (match.search.{steps, edge_checks, backtracks, matches, truncated,
+/// csr_edge_probes}) when the search finishes, so instrumentation adds no
 /// per-step synchronization.
-Result<std::vector<algebra::MatchedGraph>> SearchMatches(
-    const algebra::GraphPattern& pattern, const Graph& data,
-    const std::vector<std::vector<NodeId>>& candidates,
-    const std::vector<NodeId>& order, const MatchOptions& options = {},
-    SearchStats* stats = nullptr, obs::MetricsRegistry* metrics = nullptr);
-
-/// Execution counters specific to the parallel search fan-out.
-struct ParallelSearchStats {
-  int workers = 0;  ///< Participants (0 when the serial path was taken).
-  uint64_t tasks_stolen = 0;  ///< Root tasks run off their home deque.
-  /// One lane per OS thread that served the search fan-out; drawn by the
-  /// trace exporter.
-  std::vector<ThreadPool::WorkerLane> lanes;
-};
-
-/// Work-stealing parallel search: the cost-ordered root candidate list
-/// Phi(order[0]) is dealt across up to `num_threads` workers (the caller
-/// participates; see ThreadPool), each root explored by an independent DFS
-/// with per-worker match state, governor shard, and metric shard. Per-root
-/// match lists are merged in root order, so the returned matches — set AND
-/// ordering — are bit-identical to SearchMatches on the same inputs
-/// (including max_matches truncation, non-exhaustive first-match selection,
-/// and error precedence).
-///
-/// Falls back to the serial SearchMatches when `num_threads` < 1 resolves
-/// to no parallelism or when MatchOptions::max_steps is set (the local
-/// step budget is inherently sequential). `pool` null = the shared pool.
 Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
@@ -102,13 +96,11 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     obs::MetricsRegistry* metrics = nullptr,
     ParallelSearchStats* pstats = nullptr);
 
-/// Streaming variant: invokes `sink` for every match; return false from the
-/// sink to stop the search. SearchMatches collects through it.
-Status SearchMatchesStreaming(
+/// SearchMatchesParallel on the calling thread alone.
+Result<std::vector<algebra::MatchedGraph>> SearchMatches(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,
-    const std::vector<NodeId>& order, const MatchOptions& options,
-    const std::function<bool(const algebra::MatchedGraph&)>& sink,
+    const std::vector<NodeId>& order, const MatchOptions& options = {},
     SearchStats* stats = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
 /// First phase of Algorithm 4.1 without any index: scans all data nodes

@@ -157,14 +157,15 @@ void EmitWorkerLanes(obs::Tracer* tracer,
 /// Retrieval of feasible mates, run by `workers` >= 1 participants (one
 /// runs inline on the calling thread, without the pool). One task per
 /// pattern node scans its base list with the kernel ResolveSelectionKernel
-/// picks (and filters by profile), with per-worker pattern scratch and
-/// governor shard; in neighborhood mode the per-candidate sub-isomorphism
-/// tests of every Phi(u) are additionally chunked into stealable ranges,
-/// since one hub node's tests can dominate the whole stage. Anything that
-/// touches non-thread-safe structures (B+-tree lookups, pattern profile /
-/// neighborhood construction, the all-nodes list) runs on the calling
-/// thread before the fan-out. Without an index every base list is the full
-/// node range and no profile or neighborhood pruning applies.
+/// picks (and filters by profile), with per-worker pattern scratch; in
+/// neighborhood mode the per-candidate sub-isomorphism tests of every
+/// Phi(u) are additionally chunked into stealable ranges, since one hub
+/// node's tests can dominate the whole stage. Anything that touches
+/// non-thread-safe structures (B+-tree lookups, pattern profile /
+/// neighborhood construction, the all-nodes list, the probe charges)
+/// runs on the calling thread before the fan-out. Without an index every
+/// base list is the full node range and no profile or neighborhood
+/// pruning applies.
 std::vector<std::vector<NodeId>> Retrieve(
     const algebra::GraphPattern& pattern, const Graph& data,
     const LabelIndex* index, const PipelineOptions& options,
@@ -244,7 +245,6 @@ std::vector<std::vector<NodeId>> Retrieve(
   const SelectionPlan plan(pattern, snap, metrics);
 
   struct WorkerState {
-    GovernorShard shard;      // Feasible-mate probes (GovernPoint::kRetrieve).
     GovernorShard nbh_shard;  // Sub-iso DFS steps (GovernPoint::kNeighborhood).
     algebra::PatternScratch scratch;
     std::optional<PackedBits> bits;  // Bitmap-kernel scratch (2 x n).
@@ -257,7 +257,6 @@ std::vector<std::vector<NodeId>> Retrieve(
   const bool direct = workers <= 1;
   std::vector<WorkerState> ws(static_cast<size_t>(workers));
   for (WorkerState& s : ws) {
-    s.shard = GovernorShard(gov, GovernPoint::kRetrieve, direct);
     s.nbh_shard = GovernorShard(gov, GovernPoint::kNeighborhood, direct);
     if (metrics != nullptr && use_neighborhoods) {
       s.metric_shard = std::make_unique<obs::MetricsRegistry>();
@@ -267,6 +266,16 @@ std::vector<std::vector<NodeId>> Retrieve(
   uint64_t stolen = 0;
   int workers_seen = 0;
 
+  // One charge per feasible-mate probe, made here in pattern-node order
+  // before the fan-out: a tripped governor leaves this node's candidate
+  // list and every later one empty (partial-result semantics), the same
+  // lists at every worker count.
+  size_t scanned = 0;
+  while (scanned < k &&
+         GovCharge(gov, base[scanned]->size(), GovernPoint::kRetrieve)) {
+    ++scanned;
+  }
+
   // Phase A: per-pattern-node feasible-mate scans (+ profile filter).
   // Neighborhood mode stops at the attribute stage; its per-candidate
   // tests fan out again below.
@@ -274,9 +283,6 @@ std::vector<std::vector<NodeId>> Retrieve(
   auto scan_node = [&](size_t u, int w) {
     WorkerState& s = ws[static_cast<size_t>(w)];
     NodeId pu = static_cast<NodeId>(u);
-    // One charge per feasible-mate probe; a tripped governor leaves this
-    // node's candidate list empty (partial-result semantics).
-    if (!s.shard.Charge(base[u]->size())) return;
     std::vector<NodeId> stage;
     SelectionKernel kernel = ResolveSelectionKernel(
         base[u]->size(), snap.num_nodes(), base[u] == &all_nodes);
@@ -302,7 +308,7 @@ std::vector<std::vector<NodeId>> Retrieve(
       out[u] = std::move(stage);
     }
   };
-  ThreadPool::RunStats run = parallel_for(k, scan_node);
+  ThreadPool::RunStats run = parallel_for(scanned, scan_node);
   stolen += run.stolen;
   workers_seen = run.workers;
   if (info != nullptr) MergeWorkerLanes(&info->lanes, run.lanes);
@@ -358,7 +364,6 @@ std::vector<std::vector<NodeId>> Retrieve(
   uint64_t feasible_misses = 0;
   uint64_t profile_pruned = 0;
   for (WorkerState& s : ws) {
-    s.shard.Flush();
     s.nbh_shard.Flush();
     feasible_hits += s.feasible_hits;
     feasible_misses += s.feasible_misses;
@@ -437,8 +442,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   // Trip counters are emitted on the not-tripped -> tripped transition so
   // collection loops over many member graphs count each trip once.
   const bool was_tripped = gov != nullptr && gov->tripped();
-  // Intra-query parallelism: 0 = serial. Parallel runs produce the same
-  // match set and order (see SearchMatchesParallel).
+  // Intra-query parallelism: 0 = serial. Every worker count produces the
+  // same match set and order (see SearchMatchesParallel).
   const int workers = ResolveWorkers(options.num_threads, options.pool);
 
   // Compile (or fetch) the data graph's snapshot on the calling thread
@@ -581,14 +586,9 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   MatchOptions match_options = options.match;
   if (match_options.governor == nullptr) match_options.governor = gov;
   match_options.snapshot = snap;
-  Result<std::vector<algebra::MatchedGraph>> matches =
-      workers > 0
-          ? SearchMatchesParallel(pattern, data, candidates, order,
-                                  match_options, options.num_threads,
-                                  options.pool, &search_stats, metrics,
-                                  &search_parallel)
-          : SearchMatches(pattern, data, candidates, order, match_options,
-                          &search_stats, metrics);
+  Result<std::vector<algebra::MatchedGraph>> matches = SearchMatchesParallel(
+      pattern, data, candidates, order, match_options, options.num_threads,
+      options.pool, &search_stats, metrics, &search_parallel);
   if (search_span.active()) {
     search_span.SetAttr("steps", static_cast<int64_t>(search_stats.steps));
     search_span.SetAttr("backtracks",
@@ -645,7 +645,6 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     stats->search.steps += search_stats.steps;
     stats->search.edge_checks += search_stats.edge_checks;
     stats->search.backtracks += search_stats.backtracks;
-    stats->search.budget_exhausted |= search_stats.budget_exhausted;
     stats->search.truncated |= search_stats.truncated;
     stats->search.governor_tripped |= search_stats.governor_tripped;
     stats->order = order;

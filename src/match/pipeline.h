@@ -54,10 +54,9 @@ struct PipelineOptions {
   uint64_t neighborhood_step_budget = 0;
   /// Intra-query parallelism: total workers (including the calling thread)
   /// for the retrieve / refine / search stages, capped at the pool's
-  /// capacity; N > 1 adds pool threads. Retrieve runs the same code at 0
-  /// and 1 (one worker, inline on the calling thread). Refine and search
-  /// keep a serial form at 0 (Gauss-Seidel refinement, one DFS) and run
-  /// their parallel form from 1 up (Jacobi refinement, per-root DFS tasks).
+  /// capacity; N > 1 adds pool threads. Retrieve and search run the same
+  /// code at 0 and 1 (one worker, inline on the calling thread). Only
+  /// refine keeps a serial form: Gauss-Seidel at 0, Jacobi from 1 up.
   /// Defaults to $GQL_THREADS (0 if unset). Parallel match results — set
   /// and order — are identical to serial.
   int num_threads = DefaultNumThreads();

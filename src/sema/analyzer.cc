@@ -396,9 +396,11 @@ class Analyzer {
     }
   }
 
-  /// Flags names in a predicate whose root is neither a pattern entity nor
-  /// the pattern's own name. Such a reference reaches the runtime's
-  /// Bindings::ResolvePath, which fails with NotFound.
+  /// Flags `X.attr` names in a predicate whose entity X is not declared.
+  /// Such a reference reaches the runtime's Bindings::ResolvePath, which
+  /// fails with NotFound. A bare name reads an attribute of the node or
+  /// edge (inline `where`) or of the graph, and `P.attr` with P the
+  /// pattern's own name reads a graph attribute; neither can fail.
   void CheckPredNames(const lang::Expr& expr, const Scope& scope,
                       const std::string& pattern_name,
                       std::vector<Diagnostic>* out, size_t stmt) const {
@@ -407,17 +409,16 @@ class Analyzer {
     CollectNameExprs(expr, &names);
     for (const lang::Expr* n : names) {
       const std::vector<std::string>& p = n->path;
-      if (p.empty()) continue;
-      bool ok = scope.RootResolves(p[0]);
-      if (!ok && !pattern_name.empty() && p[0] == pattern_name) {
-        ok = p.size() == 1 || scope.RootResolves(p[1]);
+      if (p.size() < 2 || scope.RootResolves(p[0])) continue;
+      size_t entity = 0;
+      if (!pattern_name.empty() && p[0] == pattern_name) {
+        if (p.size() == 2 || scope.RootResolves(p[1])) continue;
+        entity = 1;
       }
-      if (!ok) {
-        Emit(out, Severity::kError, "sema.unbound-name",
-             "cannot resolve '" + Join(p, ".") + "': '" + p[0] +
-                 "' is not a declared node or edge",
-             n->span, StatusCode::kNotFound, stmt);
-      }
+      Emit(out, Severity::kError, "sema.unbound-name",
+           "cannot resolve '" + Join(p, ".") + "': '" + p[entity] +
+               "' is not a declared node or edge",
+           n->span, StatusCode::kNotFound, stmt);
     }
   }
 

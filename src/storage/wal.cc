@@ -181,8 +181,10 @@ Status WalWriter::Append(uint8_t kind, std::span<const uint8_t> body) {
   std::vector<uint8_t> record(kHeaderBytes + length);
   PutU64(record.data() + kHeaderBytes, next_lsn_);
   record[kHeaderBytes + 8] = kind;
-  std::memcpy(record.data() + kHeaderBytes + kPayloadMinBytes, body.data(),
-              body.size());
+  if (!body.empty()) {  // An empty span's data() may be null.
+    std::memcpy(record.data() + kHeaderBytes + kPayloadMinBytes, body.data(),
+                body.size());
+  }
   PutU32(record.data(), length);
   PutU32(record.data() + 4,
          Crc32c(record.data() + kHeaderBytes, length));

@@ -96,15 +96,25 @@ TEST(MatcherTest, StepBudgetStopsSearch) {
   Graph g = Sample();
   auto p = algebra::GraphPattern::Parse("graph P { node u; node v; }");
   ASSERT_TRUE(p.ok());
-  MatchOptions options;
-  options.max_steps = 3;
-  SearchStats stats;
   auto cand = ScanCandidates(*p, g);
-  auto matches =
-      SearchMatches(*p, g, cand, DeclarationOrder(*p), options, &stats);
-  ASSERT_TRUE(matches.ok());
-  EXPECT_TRUE(stats.budget_exhausted);
-  EXPECT_LE(stats.steps, 3u);
+  ThreadPool pool(2);
+  for (int threads : {0, 3}) {
+    ResourceGovernor gov(GovernorLimits{.max_steps = 3});
+    MatchOptions options;
+    options.governor = &gov;
+    SearchStats stats;
+    auto matches = SearchMatchesParallel(*p, g, cand, DeclarationOrder(*p),
+                                         options, threads, &pool, &stats);
+    ASSERT_TRUE(matches.ok()) << matches.status();
+    // Root a1, then v = a2 and v = b1 complete two matches; the fourth
+    // candidate try crosses the budget of three.
+    EXPECT_EQ(matches->size(), 2u) << "threads " << threads;
+    EXPECT_EQ(stats.steps, 4u) << "threads " << threads;
+    EXPECT_TRUE(stats.governor_tripped) << "threads " << threads;
+    EXPECT_EQ(gov.trip_kind(), TripKind::kSteps) << "threads " << threads;
+    EXPECT_EQ(gov.trip_point(), GovernPoint::kSearch) << "threads " << threads;
+    EXPECT_EQ(gov.steps_used(), 4u) << "threads " << threads;
+  }
 }
 
 TEST(MatcherTest, DisconnectedPatternIsCrossProduct) {
@@ -217,20 +227,6 @@ TEST(MatcherTest, ParallelEdgeWithPredicatesPicksCompatibleOne) {
     EXPECT_EQ(g.edge(m.edge_mapping[0]).attrs.GetOrNull("w"),
               Value(int64_t{9}));
   }
-}
-
-TEST(MatcherTest, StreamingSinkCanStopEarly) {
-  Graph g = Sample();
-  auto p = algebra::GraphPattern::Parse(
-      "graph P { node u; node v; edge (u, v); }");
-  ASSERT_TRUE(p.ok());
-  auto cand = ScanCandidates(*p, g);
-  int seen = 0;
-  auto status = SearchMatchesStreaming(
-      *p, g, cand, DeclarationOrder(*p), MatchOptions{},
-      [&](const algebra::MatchedGraph&) { return ++seen < 3; });
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ(seen, 3);
 }
 
 TEST(MatcherTest, EmptyPatternYieldsNothing) {

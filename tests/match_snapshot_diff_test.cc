@@ -81,8 +81,8 @@ TEST(SnapshotDifferentialTest, MatchPatternBitIdenticalAcrossConfigs) {
                                CandidateMode::kNeighborhood}) {
       for (int refine_level : {-1, 0, 2}) {
         for (bool marking : {true, false}) {
-          // Threads 1 and 3 run the same Jacobi refinement and per-root
-          // search, so their match lists must agree bit for bit.
+          // Threads 1 and 3 run the same Jacobi refinement (and the one
+          // search), so their match lists must agree bit for bit.
           std::string parallel_fingerprint;
           for (int threads : {0, 1, 3}) {
             PipelineOptions options;

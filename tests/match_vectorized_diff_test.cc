@@ -5,7 +5,7 @@
 // bytecode ISA. The retrieve stage, which picks a kernel per pattern node
 // by ResolveSelectionKernel, must agree with the same oracle with and
 // without a label index and at every thread count. Governed queries must
-// trip at the same point on every run, and every example query must
+// return the same result at every thread count, and every example query must
 // render identically through the full Evaluator serial and parallel.
 
 #include <gtest/gtest.h>
@@ -238,38 +238,79 @@ TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
   }
 }
 
-TEST(VectorizedDifferentialTest, GovernedTripsBitIdenticalAcrossKernels) {
-  // Kernel choice and charge sites are fixed by the query, so a step budget
-  // must trip at the same point on every run and the degraded/partial
-  // results must match bit for bit. Runs at the default $GQL_THREADS.
+TEST(VectorizedDifferentialTest, GovernedResultsBitIdenticalAcrossThreadCounts) {
+  // Retrieve charges its probes in pattern-node order and the search
+  // settles a step budget, the match cap and first-match mode on the
+  // root-order prefix, so a governed query returns the same matches, trips
+  // with the same kind at the same point and consumes the same steps at
+  // every worker count. Refine keeps two forms that check different pair
+  // counts (Gauss-Seidel at 0 threads, Jacobi from 1 up), so with refine
+  // on the reference is the one-worker run.
+  struct Limits {
+    uint64_t max_steps;
+    size_t max_matches;
+    bool exhaustive;
+  };
+  const Limits kLimits[] = {{50, SIZE_MAX, true},  {400, SIZE_MAX, true},
+                            {5000, SIZE_MAX, true}, {0, 7, true},
+                            {0, SIZE_MAX, false},   {5000, 7, true}};
   Graph data = MakeData();
   LabelIndex index = LabelIndex::Build(data);
+  ThreadPool pool(3);
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
-  for (size_t pi = 0; pi < patterns.size(); ++pi) {
-    for (uint64_t max_steps : {50u, 400u, 5000u}) {
-      std::string want;
-      TripKind want_trip = TripKind::kNone;
-      for (int run = 0; run < 4; ++run) {
-        ResourceGovernor governor(GovernorLimits{.max_steps = max_steps});
-        PipelineOptions options;
-        options.metrics = nullptr;
-        options.governor = &governor;
-        auto got = MatchPattern(patterns[pi], data, &index, options);
-        ASSERT_TRUE(got.ok()) << got.status();
-        if (run == 0) {
-          want = Fingerprint(*got);
-          want_trip = governor.trip_kind();
-        } else {
-          EXPECT_EQ(want, Fingerprint(*got))
-              << "pattern " << pi << " max_steps " << max_steps << " run "
-              << run;
-          EXPECT_EQ(want_trip, governor.trip_kind())
-              << "pattern " << pi << " max_steps " << max_steps << " run "
-              << run;
+  int search_trips = 0;
+  int truncations = 0;
+  for (int refine_level : {0, -1}) {
+    const std::vector<int> thread_counts =
+        refine_level == 0 ? std::vector<int>{0, 1, 2, 4}
+                          : std::vector<int>{1, 2, 4};
+    for (size_t pi = 0; pi < patterns.size(); ++pi) {
+      for (const Limits& limits : kLimits) {
+        std::string want;
+        TripKind want_kind = TripKind::kNone;
+        GovernPoint want_point = GovernPoint::kOther;
+        uint64_t want_steps = 0;
+        for (int threads : thread_counts) {
+          ResourceGovernor governor(
+              GovernorLimits{.max_steps = limits.max_steps});
+          PipelineOptions options;
+          options.metrics = nullptr;
+          options.governor = &governor;
+          options.refine_level = refine_level;
+          options.num_threads = threads;
+          options.pool = &pool;
+          options.match.max_matches = limits.max_matches;
+          options.match.exhaustive = limits.exhaustive;
+          PipelineStats stats;
+          auto got = MatchPattern(patterns[pi], data, &index, options, &stats);
+          ASSERT_TRUE(got.ok()) << got.status();
+          const std::string where =
+              "refine " + std::to_string(refine_level) + " pattern " +
+              std::to_string(pi) + " max_steps " +
+              std::to_string(limits.max_steps) + " max_matches " +
+              std::to_string(limits.max_matches) + " exhaustive " +
+              std::to_string(limits.exhaustive) + " threads " +
+              std::to_string(threads);
+          if (threads == thread_counts.front()) {
+            want = Fingerprint(*got);
+            want_kind = governor.trip_kind();
+            want_point = governor.trip_point();
+            want_steps = governor.steps_used();
+            search_trips += want_point == GovernPoint::kSearch;
+            truncations += stats.search.truncated;
+            continue;
+          }
+          EXPECT_EQ(want, Fingerprint(*got)) << where;
+          EXPECT_EQ(want_kind, governor.trip_kind()) << where;
+          EXPECT_EQ(want_point, governor.trip_point()) << where;
+          EXPECT_EQ(want_steps, governor.steps_used()) << where;
         }
       }
     }
   }
+  // Non-vacuous: budgets cut some searches and the cap others.
+  EXPECT_GT(search_trips, 0);
+  EXPECT_GT(truncations, 0);
 }
 
 TEST(VectorizedDifferentialTest, BytecodeCoverageCounters) {

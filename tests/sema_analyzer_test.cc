@@ -130,6 +130,34 @@ TEST(SemaScopeTest, PatternNamePrefixIsAValidRoot) {
   EXPECT_TRUE(a.ok());
 }
 
+TEST(SemaScopeTest, PatternNameAttributeIsAGraphAttribute) {
+  Analysis a = AnalyzeSource(R"(
+    for graph Q { node v; } in doc("D") where Q.booktitle == "X" return Q;
+  )");
+  EXPECT_TRUE(a.ok());
+  EXPECT_EQ(FindDiagnostic(a, "sema.unbound-name"), nullptr);
+}
+
+TEST(SemaScopeTest, BareWhereNameIsAGraphAttribute) {
+  Analysis a = AnalyzeSource(R"(
+    for graph Q { node v; } in doc("D") where year == 2000 return Q;
+  )");
+  EXPECT_TRUE(a.ok());
+  EXPECT_EQ(FindDiagnostic(a, "sema.unbound-name"), nullptr);
+}
+
+TEST(SemaScopeTest, UndeclaredEntityUnderPatternNameIsError) {
+  Analysis a = AnalyzeSource(R"(
+    for graph Q { node v; } in doc("D") where Q.w.name == "X" return Q;
+  )");
+  const Diagnostic* d = FindDiagnostic(a, "sema.unbound-name");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->message.find("'w' is not a declared node or edge"),
+            std::string::npos)
+      << d->message;
+}
+
 TEST(SemaScopeTest, UnknownPatternReferenceIsError) {
   Analysis a = AnalyzeSource(R"(for Missing in doc("D") return Missing;)");
   const Diagnostic* d = FindDiagnostic(a, "sema.unknown-pattern");

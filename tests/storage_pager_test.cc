@@ -72,6 +72,29 @@ TEST(PagerTest, RoundTripsSectionsThroughBuffer) {
   EXPECT_EQ(file.value()->Section(8).status().code(), StatusCode::kNotFound);
 }
 
+TEST(PagerTest, RoundTripsImageOfEmptySections) {
+  // An empty section occupies no data page; the last one sits at the end
+  // of the image. Both round-trip through a disk write and an mmap open.
+  PageFileWriter w;
+  w.AddSection(1, {});
+  w.AddSection(2, Pattern(10, 4));
+  w.AddSection(3, {});
+  TempPath tmp;
+  ASSERT_TRUE(w.WriteTo(tmp.path()).ok());
+  auto file = PageFile::Open(tmp.path());
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_TRUE(file.value()->VerifyAllPages().ok());
+  for (uint32_t id : {1u, 3u}) {
+    auto empty = file.value()->Section(id);
+    ASSERT_TRUE(empty.ok()) << "section " << id;
+    EXPECT_TRUE(empty.value().empty()) << "section " << id;
+  }
+  auto small = file.value()->Section(2);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(std::vector<uint8_t>(small.value().begin(), small.value().end()),
+            Pattern(10, 4));
+}
+
 TEST(PagerTest, ImageIsPageMultipleAndSectionsPageAligned) {
   std::vector<uint8_t> image = SampleImage();
   EXPECT_EQ(image.size() % kPageSize, 0u);
