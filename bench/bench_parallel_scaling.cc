@@ -4,10 +4,14 @@
 // the paper's hit cap, so serial and parallel do identical work).
 //
 // Unlike the figure benches this is a plain binary (no google-benchmark):
-// it sweeps a thread count, verifies that every parallel run produces a
-// bit-identical match list (same bindings, same order) to the serial run,
-// prints a speedup table, and dumps machine-readable results as JSON for
-// tools/summarize_bench.py.
+// it sweeps a thread count in two lanes, verifies that every parallel run
+// produces a bit-identical match list (same bindings, same order) and
+// refined candidate sizes to the lane's serial run, prints a speedup
+// table per lane, and dumps machine-readable results as JSON for
+// tools/summarize_bench.py. The `baseline` lane runs without refinement,
+// so its time is retrieve and search; the `refine` lane runs the same
+// queries with full refinement (level = pattern size) and times refine at
+// each thread count.
 //
 // Knobs (environment):
 //   GQL_BENCH_PARALLEL_JSON   output path (default BENCH_parallel.json)
@@ -48,10 +52,14 @@ QuerySet BuildQueries() {
   return qs;
 }
 
-/// One match list rendered as a comparable token: bindings and their order
-/// must agree exactly for two runs to count as identical.
-std::string Signature(const std::vector<algebra::MatchedGraph>& matches) {
+/// One query's refined candidate sizes and match list rendered as a
+/// comparable token: sizes, bindings and their order must agree exactly
+/// for two runs to count as identical.
+std::string Signature(const match::PipelineStats& stats,
+                      const std::vector<algebra::MatchedGraph>& matches) {
   std::string sig;
+  for (size_t n : stats.size_refined) sig += std::to_string(n) + ",";
+  sig += "/";
   for (const algebra::MatchedGraph& m : matches) {
     for (NodeId v : m.node_mapping) sig += std::to_string(v) + ",";
     for (EdgeId e : m.edge_mapping) sig += std::to_string(e) + ";";
@@ -61,8 +69,10 @@ std::string Signature(const std::vector<algebra::MatchedGraph>& matches) {
 }
 
 struct SweepResult {
+  const char* lane = "";
   int threads = 0;
   double ms = 0;                ///< Best-of-reps total wall time.
+  double speedup = 1;           ///< Lane's 0-thread ms over this ms.
   double ms_retrieve = 0;       ///< Stage sums from the best rep.
   double ms_refine = 0;
   double ms_search = 0;
@@ -71,7 +81,8 @@ struct SweepResult {
   bool identical = true;        ///< Match lists == serial run's.
 };
 
-SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
+SweepResult RunSweep(const QuerySet& qs, int refine_level, int threads,
+                     int reps,
                      const std::vector<std::string>* serial_sigs,
                      std::vector<std::string>* sigs_out) {
   const ProteinWorkload& w = GetProteinWorkload();
@@ -88,14 +99,14 @@ SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
     sigs.reserve(qs.patterns.size());
     auto t0 = std::chrono::steady_clock::now();
     for (const algebra::GraphPattern& p : qs.patterns) {
-      // Label-only retrieval, no refinement, declaration order: the
-      // paper's Baseline. Its unreduced search space is where intra-query
-      // parallelism matters (the optimized pipeline finishes these
-      // queries in microseconds, leaving nothing to parallelize), and
-      // every root candidate becomes a stealable search task.
+      // Label-only retrieval and declaration order: the paper's Baseline
+      // (with refine_level 0). Its unreduced search space is where
+      // intra-query parallelism matters (the optimized pipeline finishes
+      // these queries in microseconds, leaving nothing to parallelize),
+      // and every root candidate becomes a stealable search task.
       match::PipelineOptions o;
       o.candidate_mode = match::CandidateMode::kLabelOnly;
-      o.refine_level = 0;
+      o.refine_level = refine_level;
       o.optimize_order = false;
       o.match.max_matches = kMaxHits;
       o.num_threads = threads;
@@ -108,7 +119,7 @@ SweepResult RunSweep(const QuerySet& qs, int threads, int reps,
       stolen += stats.tasks_stolen;
       if (m.ok()) {
         total_matches += m->size();
-        sigs.push_back(Signature(*m));
+        sigs.push_back(Signature(stats, *m));
       } else {
         sigs.push_back("error:" + m.status().ToString());
       }
@@ -153,32 +164,44 @@ int Main() {
   }
   std::printf("\n");
 
-  std::vector<std::string> serial_sigs;
+  struct Lane {
+    const char* name;
+    int refine_level;
+  };
+  const Lane kLanes[] = {{"baseline", 0}, {"refine", -1}};
   std::vector<SweepResult> results;
-  for (int threads : kThreadSweep) {
-    SweepResult r =
-        RunSweep(qs, threads, reps,
-                 threads == 0 ? nullptr : &serial_sigs,
-                 threads == 0 ? &serial_sigs : nullptr);
-    results.push_back(r);
-  }
-
-  double serial_ms = results.front().ms;
-  std::printf("%8s %10s %9s %12s %10s %10s %10s %6s\n", "threads", "ms",
-              "speedup", "stolen", "retr_ms", "refine_ms", "search_ms",
-              "exact");
   bool all_identical = true;
-  for (const SweepResult& r : results) {
-    all_identical = all_identical && r.identical;
-    std::printf("%8d %10.2f %8.2fx %12llu %10.2f %10.2f %10.2f %6s\n",
-                r.threads, r.ms, serial_ms / r.ms,
-                static_cast<unsigned long long>(r.tasks_stolen),
-                r.ms_retrieve, r.ms_refine, r.ms_search,
-                r.identical ? "yes" : "NO");
+  for (const Lane& lane : kLanes) {
+    std::vector<std::string> serial_sigs;
+    const size_t first = results.size();
+    for (int threads : kThreadSweep) {
+      SweepResult r =
+          RunSweep(qs, lane.refine_level, threads, reps,
+                   threads == 0 ? nullptr : &serial_sigs,
+                   threads == 0 ? &serial_sigs : nullptr);
+      r.lane = lane.name;
+      r.speedup = results.size() == first ? 1.0 : results[first].ms / r.ms;
+      results.push_back(r);
+    }
+    std::printf("lane %s (refine_level %d)\n", lane.name, lane.refine_level);
+    std::printf("%8s %10s %9s %12s %10s %10s %10s %6s\n", "threads", "ms",
+                "speedup", "stolen", "retr_ms", "refine_ms", "search_ms",
+                "exact");
+    bool lane_identical = true;
+    for (size_t i = first; i < results.size(); ++i) {
+      const SweepResult& r = results[i];
+      lane_identical = lane_identical && r.identical;
+      std::printf("%8d %10.2f %8.2fx %12llu %10.2f %10.2f %10.2f %6s\n",
+                  r.threads, r.ms, r.speedup,
+                  static_cast<unsigned long long>(r.tasks_stolen),
+                  r.ms_retrieve, r.ms_refine, r.ms_search,
+                  r.identical ? "yes" : "NO");
+    }
+    std::printf("match lists %s across the sweep (%zu matches)\n\n",
+                lane_identical ? "bit-identical" : "DIVERGED",
+                results[first].matches);
+    all_identical = all_identical && lane_identical;
   }
-  std::printf("\nmatch lists %s across the sweep (%zu matches)\n",
-              all_identical ? "bit-identical" : "DIVERGED",
-              results.front().matches);
 
   const char* path = std::getenv("GQL_BENCH_PARALLEL_JSON");
   std::string out_path =
@@ -199,8 +222,8 @@ int Main() {
       << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const SweepResult& r = results[i];
-    out << "    {\"threads\": " << r.threads << ", \"ms\": " << r.ms
-        << ", \"speedup\": " << serial_ms / r.ms
+    out << "    {\"lane\": \"" << r.lane << "\", \"threads\": " << r.threads
+        << ", \"ms\": " << r.ms << ", \"speedup\": " << r.speedup
         << ", \"tasks_stolen\": " << r.tasks_stolen
         << ", \"ms_retrieve\": " << r.ms_retrieve
         << ", \"ms_refine\": " << r.ms_refine

@@ -508,7 +508,6 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
   int level = options.refine_level;
   if (level < 0) level = static_cast<int>(k);
   RefineStats refine_stats;
-  ParallelRefineStats refine_parallel;
   bool refine_degraded = false;
   if (level > 0 && GovOk(gov)) {
     // Snapshot the candidate sets so a degradable budget trip can fall
@@ -516,15 +515,8 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     std::vector<std::vector<NodeId>> snapshot;
     const bool can_degrade = gov != nullptr && gov->HasLimits();
     if (can_degrade) snapshot = candidates;
-    if (workers > 0) {
-      RefineSearchSpaceParallel(pattern, data, level, &candidates,
-                                &refine_stats, options.refine_use_marking,
-                                metrics, gov, options.num_threads, options.pool,
-                                &refine_parallel, snap);
-    } else {
-      RefineSearchSpace(pattern, data, level, &candidates, &refine_stats,
-                        options.refine_use_marking, metrics, gov, snap);
-    }
+    RefineSearchSpace(pattern, data, level, &candidates, &refine_stats,
+                      options.refine_use_marking, metrics, gov, snap);
     if (refine_stats.aborted && can_degrade && gov->DegradableTrip()) {
       candidates = std::move(snapshot);
       gov->RefundSteps(refine_stats.pairs_charged);
@@ -543,22 +535,12 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
                         static_cast<int64_t>(refine_stats.bipartite_checks));
     refine_span.SetAttr("removed",
                         static_cast<int64_t>(refine_stats.removed));
-    refine_span.SetAttr("dirty_skips",
-                        static_cast<int64_t>(refine_stats.dirty_skips));
-    if (refine_parallel.workers > 0) {
-      refine_span.SetAttr("threads",
-                          static_cast<int64_t>(refine_parallel.workers));
-      refine_span.SetAttr("tasks_stolen",
-                          static_cast<int64_t>(refine_parallel.tasks_stolen));
-    }
     if (refine_degraded) refine_span.SetAttr("degraded", "fallback-unrefined");
   }
-  EmitWorkerLanes(tracer, refine_parallel.lanes);
   refine_span.End();
   if (stats != nullptr) {
     stats->refine.bipartite_checks += refine_stats.bipartite_checks;
     stats->refine.removed += refine_stats.removed;
-    stats->refine.dirty_skips += refine_stats.dirty_skips;
     stats->refine.levels_run = refine_stats.levels_run;
     stats->refine.pairs_charged += refine_stats.pairs_charged;
     stats->refine.aborted |= refine_stats.aborted;
@@ -651,8 +633,7 @@ Result<std::vector<algebra::MatchedGraph>> MatchPattern(
     stats->num_matches = matches.ok() ? matches.value().size() : 0;
     stats->threads = workers;
     // Retrieve-stage steals were already added by Retrieve.
-    stats->tasks_stolen +=
-        refine_parallel.tasks_stolen + search_parallel.tasks_stolen;
+    stats->tasks_stolen += search_parallel.tasks_stolen;
   }
   if (metrics != nullptr) {
     metrics->GetCounter("match.queries")->Increment();

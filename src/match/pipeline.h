@@ -53,12 +53,11 @@ struct PipelineOptions {
   /// from the governor; set this only to bound individual tests).
   uint64_t neighborhood_step_budget = 0;
   /// Intra-query parallelism: total workers (including the calling thread)
-  /// for the retrieve / refine / search stages, capped at the pool's
-  /// capacity; N > 1 adds pool threads. Retrieve and search run the same
-  /// code at 0 and 1 (one worker, inline on the calling thread). Only
-  /// refine keeps a serial form: Gauss-Seidel at 0, Jacobi from 1 up.
-  /// Defaults to $GQL_THREADS (0 if unset). Parallel match results — set
-  /// and order — are identical to serial.
+  /// for the retrieve and search stages, capped at the pool's capacity;
+  /// N > 1 adds pool threads. Each stage runs the same code at every
+  /// count, inline on the calling thread at 0 and 1; refine always runs
+  /// inline. Defaults to $GQL_THREADS (0 if unset). Parallel match results
+  /// — set and order — are identical to serial.
   int num_threads = DefaultNumThreads();
   /// Pool serving the parallel stages; null = the process-wide shared pool.
   ThreadPool* pool = nullptr;
@@ -101,7 +100,7 @@ struct PipelineStats {
   bool refine_degraded = false;
   /// Workers serving the parallel stages (0 = serial run).
   int threads = 0;
-  /// Work-stealing events summed across the retrieve/refine/search stages.
+  /// Work-stealing events summed across the retrieve and search stages.
   uint64_t tasks_stolen = 0;
   /// MatchPattern invocations accumulated into this stats object (a
   /// collection select runs one per member graph). All counters below and

@@ -15,8 +15,6 @@ namespace graphql::match {
 struct RefineStats {
   uint64_t bipartite_checks = 0;  ///< Semi-perfect matching tests run.
   uint64_t removed = 0;           ///< Candidates pruned from the space.
-  uint64_t dirty_skips = 0;       ///< Marked pairs already removed when
-                                  ///< their turn came (saved re-checks).
   int levels_run = 0;             ///< Levels before the fixpoint/limit.
   uint64_t pairs_charged = 0;     ///< Governor steps charged (for refunds).
   bool aborted = false;           ///< Governor tripped mid-refinement; the
@@ -44,22 +42,24 @@ struct RefineStats {
 /// in a real match (verified by property tests).
 ///
 /// When `metrics` is given, one end-of-call flush emits
-/// match.refine.{bipartite_checks, removed, dirty_skips, levels}.
+/// match.refine.{bipartite_checks, removed, levels}.
 ///
 /// When `governor` is given, every (u, v) pair processed charges one step
-/// to GovernPoint::kRefine and the membership bitmaps / marked-pair set are
-/// accounted against the memory budget. A trip aborts the pass early with
-/// `stats->aborted` set; removals already applied remain (they are sound),
-/// and `stats->pairs_charged` lets the caller refund the spent steps when
-/// it discards the partial refinement.
+/// to GovernPoint::kRefine and the membership bitmaps / level-start pair
+/// set are accounted against the memory budget. A trip aborts the pass
+/// early with `stats->aborted` set; removals already applied remain (they
+/// are sound), and `stats->pairs_charged` lets the caller refund the spent
+/// steps when it discards the partial refinement.
 ///
 /// The pass reads the data graph only through its GraphSnapshot: `snap`
 /// when given (it must be compiled from `data`), otherwise data.snapshot()
 /// fetched once on the calling thread. Candidates and dirty marks live in
 /// packed k x n bitmaps; data neighbor sets are the snapshot's sorted
-/// unique-neighbor spans. With marking, dirty pairs drain in ascending
-/// (u, v) order and a removal is visible to the later pairs of its level
-/// (Gauss-Seidel).
+/// unique-neighbor spans. Each level walks the pairs of its level-start
+/// set (marked pairs, or every surviving pair without marking) in
+/// ascending (u, v), charging one step per pair on the calling thread; a
+/// removal is visible to the later pairs of its level (Gauss-Seidel).
+/// RefineSearchSpace is RefineSearchSpaceParallel at `num_threads` 0.
 void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
                        int level, std::vector<std::vector<NodeId>>* candidates,
                        RefineStats* stats = nullptr, bool use_marking = true,
@@ -67,33 +67,21 @@ void RefineSearchSpace(const algebra::GraphPattern& pattern, const Graph& data,
                        ResourceGovernor* governor = nullptr,
                        const GraphSnapshot* snap = nullptr);
 
-/// Execution counters specific to the parallel refinement fan-out.
+/// Execution counters of a refinement fan-out. Refinement runs inline on
+/// the calling thread, so these stay empty; the struct keeps the
+/// RefineSearchSpaceParallel signature stable for its callers.
 struct ParallelRefineStats {
-  int workers = 0;  ///< Participants (0 when the serial path was taken).
+  int workers = 0;            ///< Participants (0: ran inline).
   uint64_t tasks_stolen = 0;  ///< Pair checks run off their home deque.
-  /// One lane per OS thread that served the refinement's ParallelFor jobs
-  /// (levels merged via MergeWorkerLanes); drawn by the trace exporter.
-  std::vector<ThreadPool::WorkerLane> lanes;
+  std::vector<ThreadPool::WorkerLane> lanes;  ///< Per-thread lanes.
 };
 
-/// Parallel refinement: within each level the (u, v) pair checks are
-/// independent reads of the level-start candidate bitmaps, so they fan out
-/// across workers; removals are buffered per pair and applied at a level
-/// barrier by the coordinator (which also re-marks dirty neighbors). It
-/// shares its state (bitmaps, bipartite test, re-marking, write-back) with
-/// RefineSearchSpace and differs only in level scheduling.
-///
-/// Semantics: the serial pass is Gauss-Seidel within a level (a removal is
-/// visible to later pairs of the same level) while this pass is Jacobi (it
-/// becomes visible at the barrier), so the candidate sets after a BOUNDED
-/// level count can differ — both are sound over-approximations and
-/// converge to the same fixpoint, and the final match sets are identical.
-/// Workers charge the governor through per-worker shards; on a trip the
-/// current level's buffered removals are discarded (`stats->aborted`), and
-/// `stats->pairs_charged` reports exactly the steps flushed so the
-/// degrade-fallback refund stays balanced. `num_threads` < 1 runs
-/// RefineSearchSpace. A null `snap` is fetched from `data` before the
-/// fan-out.
+/// The one refinement. It runs inline on the calling thread at every
+/// `num_threads` and never uses `pool`: on the refine lane of
+/// bench_parallel_scaling a pool fan-out, per row or per level, was slower
+/// than the inline loop. The candidate sets, RefineStats, trip point and
+/// steps charged are therefore the same at every worker count. `pstats`,
+/// when given, is reset to empty.
 void RefineSearchSpaceParallel(
     const algebra::GraphPattern& pattern, const Graph& data, int level,
     std::vector<std::vector<NodeId>>* candidates, RefineStats* stats = nullptr,

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
+#include "brute_force_matches.h"
+#include "common/thread_pool.h"
 #include "match/matcher.h"
+#include "match/pipeline.h"
 #include "motif/deriver.h"
 #include "workload/erdos_renyi.h"
 #include "workload/queries.h"
@@ -101,6 +108,223 @@ TEST(RefineTest, IsolatedPatternNodeSurvives) {
   std::vector<std::vector<NodeId>> cand = ScanCandidates(*p, g);
   RefineSearchSpace(*p, g, 3, &cand);
   EXPECT_EQ(cand[0].size(), 2u);  // No neighbors to demand: no pruning.
+}
+
+/// Everything one refinement leaves behind that must not depend on the
+/// worker count.
+struct RefineOutcome {
+  std::vector<std::vector<NodeId>> candidates;
+  RefineStats stats;
+  TripKind trip_kind = TripKind::kNone;
+  GovernPoint trip_point = GovernPoint::kOther;
+  uint64_t steps_used = 0;
+};
+
+RefineOutcome RunRefine(const algebra::GraphPattern& p, const Graph& g,
+                        std::vector<std::vector<NodeId>> candidates, int level,
+                        bool marking, int threads, ThreadPool* pool,
+                        ResourceGovernor* governor = nullptr) {
+  RefineOutcome out;
+  RefineSearchSpaceParallel(p, g, level, &candidates, &out.stats, marking,
+                            nullptr, governor, threads, pool);
+  out.candidates = std::move(candidates);
+  if (governor != nullptr) {
+    out.trip_kind = governor->trip_kind();
+    out.trip_point = governor->trip_point();
+    out.steps_used = governor->steps_used();
+  }
+  return out;
+}
+
+void ExpectSameOutcome(const RefineOutcome& want, const RefineOutcome& got,
+                       const std::string& where) {
+  EXPECT_EQ(want.candidates, got.candidates) << where;
+  EXPECT_EQ(want.stats.bipartite_checks, got.stats.bipartite_checks) << where;
+  EXPECT_EQ(want.stats.removed, got.stats.removed) << where;
+  EXPECT_EQ(want.stats.levels_run, got.stats.levels_run) << where;
+  EXPECT_EQ(want.stats.pairs_charged, got.stats.pairs_charged) << where;
+  EXPECT_EQ(want.stats.aborted, got.stats.aborted) << where;
+  EXPECT_EQ(want.trip_kind, got.trip_kind) << where;
+  EXPECT_EQ(want.trip_point, got.trip_point) << where;
+  EXPECT_EQ(want.steps_used, got.steps_used) << where;
+}
+
+TEST(RefineTest, SameResultAtEveryWorkerCount) {
+  // Refinement runs one inline pass at every worker count, so every count
+  // leaves the same candidate sets and stats, and a governed pass trips at
+  // the same pair.
+  ThreadPool pool(3);
+  const int kThreadCounts[] = {0, 1, 2, 4};
+
+  // Figure 4.18 at every count.
+  {
+    Graph g = Sample();
+    algebra::GraphPattern p = Triangle();
+    const std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+    const int k = static_cast<int>(cand.size());
+    for (bool marking : {true, false}) {
+      for (int level : {1, 2, k}) {
+        RefineOutcome want;
+        for (int threads : kThreadCounts) {
+          const std::string where =
+              "figure 4.18 marking " + std::to_string(marking) + " level " +
+              std::to_string(level) + " threads " + std::to_string(threads);
+          RefineOutcome got =
+              RunRefine(p, g, cand, level, marking, threads, &pool);
+          EXPECT_EQ(got.candidates[0],
+                    std::vector<NodeId>{g.FindNode("a1")}) << where;
+          EXPECT_EQ(got.candidates[2],
+                    std::vector<NodeId>{g.FindNode("c2")}) << where;
+          if (level >= 2) {
+            EXPECT_EQ(got.candidates[1],
+                      std::vector<NodeId>{g.FindNode("b1")}) << where;
+          }
+          if (threads == 0) {
+            want = std::move(got);
+          } else {
+            ExpectSameOutcome(want, got, where);
+          }
+        }
+      }
+    }
+  }
+
+  // A random graph large enough for budgets that trip inside a level and
+  // for a `refine@1` injection (a trip at the 1024th pair).
+  Rng rng(2718);
+  workload::ErdosRenyiOptions opts;
+  opts.num_nodes = 600;
+  opts.num_edges = 2400;
+  opts.num_labels = 2;
+  Graph g = workload::MakeErdosRenyi(opts, &rng);
+  auto parsed = algebra::GraphPattern::Parse(R"(
+    graph P {
+      node a <label="L0">; node b <label="L1">; node c <label="L0">;
+      node d <label="L1">;
+      edge (a, b); edge (b, c); edge (c, a); edge (c, d);
+    })");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const algebra::GraphPattern& p = *parsed;
+  const std::vector<std::vector<NodeId>> cand = ScanCandidates(p, g);
+  const int k = static_cast<int>(cand.size());
+  int budget_trips = 0;
+  int injected_trips = 0;
+  for (bool marking : {true, false}) {
+    for (int level : {1, 2, k}) {
+      const std::string config = "marking " + std::to_string(marking) +
+                                 " level " + std::to_string(level);
+      RefineOutcome free_want;
+      for (int threads : kThreadCounts) {
+        RefineOutcome got = RunRefine(p, g, cand, level, marking, threads,
+                                      &pool);
+        if (threads == 0) {
+          free_want = std::move(got);
+          EXPECT_GT(free_want.stats.removed, 0u) << config;
+        } else {
+          ExpectSameOutcome(free_want, got,
+                            config + " threads " + std::to_string(threads));
+        }
+      }
+      const uint64_t pairs = free_want.stats.pairs_charged;
+      for (uint64_t budget : {pairs / 3, pairs * 2 / 3, pairs - 1}) {
+        RefineOutcome want;
+        for (int threads : kThreadCounts) {
+          ResourceGovernor governor(GovernorLimits{.max_steps = budget});
+          RefineOutcome got = RunRefine(p, g, cand, level, marking, threads,
+                                        &pool, &governor);
+          if (threads == 0) {
+            want = std::move(got);
+            budget_trips += want.stats.aborted;
+          } else {
+            ExpectSameOutcome(want, got,
+                              config + " budget " + std::to_string(budget) +
+                                  " threads " + std::to_string(threads));
+          }
+        }
+      }
+      RefineOutcome want;
+      for (int threads : kThreadCounts) {
+        auto injector = FaultInjector::Parse("refine@1");
+        ASSERT_TRUE(injector.ok()) << injector.status();
+        ResourceGovernor governor;
+        governor.set_fault_injector(&*injector);
+        RefineOutcome got = RunRefine(p, g, cand, level, marking, threads,
+                                      &pool, &governor);
+        if (threads == 0) {
+          want = std::move(got);
+          injected_trips += want.stats.aborted;
+        } else {
+          ExpectSameOutcome(want, got,
+                            config + " refine@1 threads " +
+                                std::to_string(threads));
+        }
+      }
+    }
+  }
+  // Non-vacuous: every budget cut the pass, and the injection fired.
+  EXPECT_EQ(budget_trips, 2 * 3 * 3);
+  EXPECT_GT(injected_trips, 0);
+}
+
+TEST(RefineTest, SelfLoopPatternMatchesOracle) {
+  // A self-loop puts x in its own refinement neighbor list, so a removal
+  // from Phi(x) is seen by the later pairs of row x.
+  auto g = motif::GraphFromSource(R"(
+    graph G {
+      node a1 <label="A">; node a2 <label="A">; node a3 <label="A">;
+      node b1 <label="B">; node b2 <label="B">; node b3 <label="B">;
+      edge (a1, a1); edge (a2, a2); edge (b1, b1); edge (b3, b3);
+      edge (a1, b1); edge (a1, b2); edge (a2, b1); edge (a3, b3);
+      edge (a2, a3); edge (b2, b3);
+    })");
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto p = algebra::GraphPattern::Parse(R"(
+    graph P {
+      node x <label="A">; node y <label="B">; node z <label="A">;
+      edge (x, x); edge (x, y); edge (y, y); edge (x, z);
+    })");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const std::set<std::vector<NodeId>> want =
+      oracle::BruteForceMatches(*p, *g);
+  EXPECT_FALSE(want.empty());
+  // B(x, a3) pairs N(x) = {x, y, z} with N(a3) = {a2, b3}: three pattern
+  // neighbors cannot match two data neighbors, so a3 leaves Phi(x).
+  std::vector<std::vector<NodeId>> cand = ScanCandidates(*p, *g);
+  ASSERT_EQ(cand[0].size(), 3u);
+  RefineSearchSpace(*p, *g, 1, &cand);
+  EXPECT_EQ(std::count(cand[0].begin(), cand[0].end(), g->FindNode("a3")), 0);
+  ThreadPool pool(3);
+  for (bool marking : {true, false}) {
+    PipelineStats serial;
+    for (int threads : {0, 4}) {
+      PipelineOptions options;
+      options.candidate_mode = CandidateMode::kLabelOnly;
+      options.refine_level = -1;
+      options.refine_use_marking = marking;
+      options.num_threads = threads;
+      options.pool = &pool;
+      options.metrics = nullptr;
+      PipelineStats stats;
+      auto got = MatchPattern(*p, *g, nullptr, options, &stats);
+      ASSERT_TRUE(got.ok()) << got.status();
+      std::set<std::vector<NodeId>> got_set;
+      for (const algebra::MatchedGraph& m : *got) {
+        got_set.insert(m.node_mapping);
+      }
+      const std::string where = "threads " + std::to_string(threads) +
+                                " marking " + std::to_string(marking);
+      EXPECT_EQ(got_set, want) << where;
+      if (threads == 0) {
+        serial = std::move(stats);
+        continue;
+      }
+      EXPECT_EQ(serial.size_refined, stats.size_refined) << where;
+      EXPECT_EQ(serial.refine.bipartite_checks, stats.refine.bipartite_checks)
+          << where;
+      EXPECT_EQ(serial.refine.removed, stats.refine.removed) << where;
+      EXPECT_EQ(serial.refine.levels_run, stats.refine.levels_run) << where;
+    }
+  }
 }
 
 /// Soundness property: refinement never removes a candidate that appears

@@ -239,13 +239,12 @@ TEST(VectorizedDifferentialTest, FullScanPathIdenticalAcrossKernels) {
 }
 
 TEST(VectorizedDifferentialTest, GovernedResultsBitIdenticalAcrossThreadCounts) {
-  // Retrieve charges its probes in pattern-node order and the search
-  // settles a step budget, the match cap and first-match mode on the
-  // root-order prefix, so a governed query returns the same matches, trips
-  // with the same kind at the same point and consumes the same steps at
-  // every worker count. Refine keeps two forms that check different pair
-  // counts (Gauss-Seidel at 0 threads, Jacobi from 1 up), so with refine
-  // on the reference is the one-worker run.
+  // Retrieve charges its probes in pattern-node order, refine runs inline
+  // and charges its pairs in (u, v) order on the calling thread, and the
+  // search settles a step budget, the match cap and first-match mode on
+  // the root-order prefix, so a governed query returns the same matches,
+  // trips with the same kind at the same point and consumes the same steps
+  // at every worker count. The serial (0-thread) run is the reference.
   struct Limits {
     uint64_t max_steps;
     size_t max_matches;
@@ -260,17 +259,15 @@ TEST(VectorizedDifferentialTest, GovernedResultsBitIdenticalAcrossThreadCounts) 
   std::vector<algebra::GraphPattern> patterns = MakePatterns();
   int search_trips = 0;
   int truncations = 0;
+  const int kThreadCounts[] = {0, 1, 2, 4};
   for (int refine_level : {0, -1}) {
-    const std::vector<int> thread_counts =
-        refine_level == 0 ? std::vector<int>{0, 1, 2, 4}
-                          : std::vector<int>{1, 2, 4};
     for (size_t pi = 0; pi < patterns.size(); ++pi) {
       for (const Limits& limits : kLimits) {
         std::string want;
         TripKind want_kind = TripKind::kNone;
         GovernPoint want_point = GovernPoint::kOther;
         uint64_t want_steps = 0;
-        for (int threads : thread_counts) {
+        for (int threads : kThreadCounts) {
           ResourceGovernor governor(
               GovernorLimits{.max_steps = limits.max_steps});
           PipelineOptions options;
@@ -291,7 +288,7 @@ TEST(VectorizedDifferentialTest, GovernedResultsBitIdenticalAcrossThreadCounts) 
               std::to_string(limits.max_matches) + " exhaustive " +
               std::to_string(limits.exhaustive) + " threads " +
               std::to_string(threads);
-          if (threads == thread_counts.front()) {
+          if (threads == 0) {
             want = Fingerprint(*got);
             want_kind = governor.trip_kind();
             want_point = governor.trip_point();

@@ -103,10 +103,12 @@ def summarize_parallel(path, data):
     print(f"  match lists identical across sweep: {ident}")
     results = data.get("results", [])
     if results:
-        print(f"  {'threads':>8} {'ms':>10} {'speedup':>9} {'stolen':>10} "
-              f"{'retr_ms':>9} {'refine_ms':>10} {'search_ms':>10}")
+        print(f"  {'lane':>8} {'threads':>8} {'ms':>10} {'speedup':>9} "
+              f"{'stolen':>10} {'retr_ms':>9} {'refine_ms':>10} "
+              f"{'search_ms':>10}")
         for r in results:
-            print(f"  {r.get('threads', 0):>8} {r.get('ms', 0):>10.2f} "
+            print(f"  {r.get('lane', 'baseline'):>8} "
+                  f"{r.get('threads', 0):>8} {r.get('ms', 0):>10.2f} "
                   f"{r.get('speedup', 0):>8.2f}x "
                   f"{r.get('tasks_stolen', 0):>10} "
                   f"{r.get('ms_retrieve', 0):>9.2f} "
