@@ -5,8 +5,10 @@
 // predicate bytecode — plus the production lane, where RetrieveCandidates
 // picks the kernel per node (ResolveSelectionKernel) and MatchPattern runs
 // the whole pipeline. Every lane must return the scalar oracle's candidate
-// lists; the binary exits nonzero on any divergence. Dumps
-// machine-readable results for tools/summarize_bench.py.
+// lists; the binary exits nonzero on any divergence. The production lane
+// also reports each query's search time, search steps and matches. Dumps
+// machine-readable results for tools/summarize_bench.py; the pipeline's
+// counters go to the global metric registry (GQL_BENCH_METRICS_JSON).
 //
 // The workload mixes label-only patterns (structural columns) with
 // attribute-predicate patterns inside and outside the bytecode ISA, so
@@ -95,6 +97,13 @@ const std::vector<NodeId>& BaseList(const algebra::GraphPattern& p, NodeId u,
   return label.empty() ? all : index.NodesWithLabel(label);
 }
 
+/// One query of the production lane's full pipeline run.
+struct QueryResult {
+  double search_ms = -1;  ///< Best-of-reps search stage.
+  uint64_t steps = 0;     ///< Search steps (candidates tried).
+  size_t matches = 0;
+};
+
 struct LaneResult {
   const char* name = "";
   double retrieve_ms = -1;  ///< Best-of-reps, isolated selection stage.
@@ -103,6 +112,7 @@ struct LaneResult {
   size_t candidates = 0;  ///< Sum of candidate-list sizes.
   /// Candidate lists of every (query, pattern node), in order.
   std::vector<std::vector<NodeId>> lists;
+  std::vector<QueryResult> queries;  ///< Production lane only.
 };
 
 enum class Lane { kScalar, kBitmap, kBytecode, kProduction };
@@ -135,7 +145,6 @@ std::vector<std::vector<NodeId>> Select(
       // pruning diluting the comparison.
       match::PipelineOptions o;
       o.candidate_mode = match::CandidateMode::kLabelOnly;
-      o.metrics = nullptr;
       for (auto& c : match::RetrieveCandidates(p, data, &index, o, nullptr,
                                                &snap)) {
         lists.push_back(std::move(c));
@@ -192,14 +201,22 @@ LaneResult RunLane(Lane lane, const Graph& data,
 
     // Full pipeline, for the end-to-end view.
     size_t matches = 0;
+    r.queries.resize(queries.size());
     auto t2 = std::chrono::steady_clock::now();
-    for (const algebra::GraphPattern& p : queries) {
+    for (size_t q = 0; q < queries.size(); ++q) {
       match::PipelineOptions o;
       o.candidate_mode = match::CandidateMode::kProfile;
       o.match.max_matches = kMaxMatchesPerQuery;
-      o.metrics = nullptr;
-      auto m = match::MatchPattern(p, data, &index, o);
+      match::PipelineStats stats;
+      auto m = match::MatchPattern(queries[q], data, &index, o, &stats);
       if (m.ok()) matches += m->size();
+      QueryResult& qr = r.queries[q];
+      const double search_ms = static_cast<double>(stats.us_search) / 1000.0;
+      if (qr.search_ms < 0 || search_ms < qr.search_ms) {
+        qr.search_ms = search_ms;
+      }
+      qr.steps = stats.search.steps;
+      qr.matches = m.ok() ? m->size() : 0;
     }
     auto t3 = std::chrono::steady_clock::now();
     double match_ms =
@@ -261,6 +278,14 @@ int Main(int argc, char** argv) {
   }
   std::printf("\ncandidate lists %s across lanes\n",
               identical ? "bit-identical" : "DIVERGED");
+  const std::vector<QueryResult>& per_query = lanes.back().queries;
+  std::printf("\nproduction lane by query:\n%6s %10s %10s %8s\n", "query",
+              "search_ms", "steps", "matches");
+  for (size_t q = 0; q < per_query.size(); ++q) {
+    std::printf("%6zu %10.3f %10llu %8zu\n", q, per_query[q].search_ms,
+                static_cast<unsigned long long>(per_query[q].steps),
+                per_query[q].matches);
+  }
 
   const char* path = std::getenv("GQL_BENCH_SELECTION_JSON");
   std::string out_path =
@@ -288,7 +313,15 @@ int Main(int argc, char** argv) {
         << ", \"candidates\": " << lane.candidates;
     if (lane.match_ms >= 0) {
       out << ", \"match_ms\": " << lane.match_ms
-          << ", \"matches\": " << lane.matches;
+          << ", \"matches\": " << lane.matches << ", \"queries\": [";
+      for (size_t q = 0; q < lane.queries.size(); ++q) {
+        const QueryResult& qr = lane.queries[q];
+        out << (q == 0 ? "" : ", ") << "{\"query\": " << q
+            << ", \"search_ms\": " << qr.search_ms
+            << ", \"steps\": " << qr.steps
+            << ", \"matches\": " << qr.matches << "}";
+      }
+      out << "]";
     }
     out << ", \"retrieve_speedup\": " << speedup << "}"
         << (i + 1 < lanes.size() ? ",\n" : "\n");

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 
+#include "common/packed_bits.h"
 #include "graph/snapshot.h"
 
 namespace graphql::match {
@@ -25,6 +28,18 @@ struct SearchPlan {
   std::vector<std::vector<EdgeId>> back_edges;
   /// An edge is trivial when it carries no constraint beyond existence.
   std::vector<char> trivial_edge;
+  /// Per order position: 1 when order[pos] has a pivot (a pattern
+  /// neighbour mapped earlier, through a back edge that is not a
+  /// self-loop) and Phi(order[pos]) is strictly ascending; such positions
+  /// walk a pivot's neighbours, the others scan Phi(u). The pivots are
+  /// read off back_edges: per-position pivot lists (k small vectors,
+  /// copied into every worker) measurably slowed small refined searches.
+  /// Empty, like `member`, when no position extends, so a search over
+  /// each small member graph of a collection allocates nothing more.
+  std::vector<char> extend;
+  /// Row u is Phi(u) over the data nodes; filled for the pattern nodes
+  /// whose position extends.
+  PackedBits member;
 };
 
 /// What one root task found: its matches in DFS order, the root-local step
@@ -34,6 +49,7 @@ struct RootRun {
   std::vector<uint64_t> emitted_at;
   SearchStats stats;         ///< steps counts the root's own try too.
   uint64_t csr_probes = 0;   ///< CSR edge-run entries examined.
+  uint64_t adjacency_entries = 0;  ///< Pivot neighbour entries scanned.
   bool interrupted = false;  ///< The governor tripped during this root.
   Status status;             ///< A global-predicate error ended the root.
 };
@@ -70,9 +86,11 @@ class RootSearch {
     run->status = Status::OK();
     local_ = SearchStats{};
     csr_probes_ = 0;
+    adjacency_entries_ = 0;
     Try(0, plan_.order[0], plan_.candidates[plan_.order[0]][r]);
     run->stats = local_;
     run->csr_probes = csr_probes_;
+    run->adjacency_entries = adjacency_entries_;
   }
 
   /// Polls the governor for the steps tried since the last poll, as
@@ -210,8 +228,30 @@ class RootSearch {
       return Emit();
     }
     NodeId u = plan_.order[pos];
-    for (NodeId v : plan_.candidates[u]) {
-      if (used_[v]) continue;
+    if (plan_.extend.empty() || !plan_.extend[pos]) {
+      for (NodeId v : plan_.candidates[u]) {
+        if (used_[v]) continue;
+        if (!Try(pos, u, v)) return false;
+      }
+      return true;
+    }
+    // Check accepts only a v adjacent to every mapped pivot, so walk the
+    // neighbour run of the pivot with the fewest neighbours instead of all
+    // of Phi(u). The run is ascending like Phi(u), so candidates come in
+    // the scan's order.
+    std::span<const NodeId> run;
+    bool found = false;
+    for (EdgeId pe : plan_.back_edges[pos]) {
+      const Graph::Edge& e = plan_.pattern.graph().edge(pe);
+      const NodeId pivot = e.src == u ? e.dst : e.src;
+      if (pivot == u) continue;  // Self-loop.
+      std::span<const NodeId> r = plan_.snap.unique_neighbors(assign_[pivot]);
+      if (!found || r.size() < run.size()) run = r;
+      found = true;
+    }
+    for (NodeId v : run) {
+      ++adjacency_entries_;
+      if (!plan_.member.Test(u, v) || used_[v]) continue;
       if (!Try(pos, u, v)) return false;
     }
     return true;
@@ -230,6 +270,7 @@ class RootSearch {
   RootRun* run_ = nullptr;
   SearchStats local_;       ///< This root's counters.
   uint64_t csr_probes_ = 0;  ///< CSR edge-run entries examined.
+  uint64_t adjacency_entries_ = 0;  ///< Pivot neighbour entries scanned.
   uint64_t unpolled_ = 0;   ///< Steps since the last governor poll.
 };
 
@@ -242,6 +283,7 @@ struct Prefix {
   std::vector<algebra::MatchedGraph> matches;
   SearchStats stats;
   uint64_t csr_probes = 0;
+  uint64_t adjacency_entries = 0;
   bool settled = false;
   Status status;
 };
@@ -322,6 +364,7 @@ class RootScheduler {
     stats.edge_checks += run->stats.edge_checks;
     stats.backtracks += run->stats.backtracks;
     prefix_.csr_probes += run->csr_probes;
+    prefix_.adjacency_entries += run->adjacency_entries;
     for (size_t i = 0; i < run->matches.size(); ++i) {
       if (run->emitted_at[i] > budget_ - stats.steps) return TripBudget();
       prefix_.matches.push_back(std::move(run->matches[i]));
@@ -387,7 +430,7 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
   ResourceGovernor* gov = options.governor;
   SearchPlan plan{pattern, data,
                   options.snapshot != nullptr ? *options.snapshot : *holder,
-                  candidates, order, gov, {}, {}};
+                  candidates, order, gov, {}, {}, {}, {}};
   std::vector<size_t> position(p.NumNodes());
   for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
   plan.back_edges.resize(order.size());
@@ -397,6 +440,24 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
         static_cast<EdgeId>(e));
     plan.trivial_edge.push_back(
         pe.attrs.empty() && !pattern.EdgeHasPredicates(static_cast<EdgeId>(e)));
+  }
+  for (size_t pos = 1; pos < order.size(); ++pos) {
+    const NodeId u = order[pos];
+    const std::vector<NodeId>& phi = candidates[u];
+    const bool has_pivot = std::any_of(
+        plan.back_edges[pos].begin(), plan.back_edges[pos].end(),
+        [&](EdgeId e) { return p.edge(e).src != p.edge(e).dst; });
+    if (!has_pivot || std::adjacent_find(phi.begin(), phi.end(),
+                                         std::greater_equal<NodeId>()) !=
+                          phi.end()) {
+      continue;
+    }
+    if (plan.extend.empty()) {
+      plan.extend.assign(order.size(), 0);
+      plan.member = PackedBits(p.NumNodes(), plan.snap.num_nodes());
+    }
+    plan.extend[pos] = 1;
+    for (NodeId v : phi) plan.member.Set(u, v);
   }
 
   const size_t num_roots = order.empty() ? 0 : candidates[order[0]].size();
@@ -451,6 +512,10 @@ Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     if (prefix.csr_probes != 0) {
       metrics->GetCounter("match.search.csr_edge_probes")
           ->Increment(prefix.csr_probes);
+    }
+    if (prefix.adjacency_entries != 0) {
+      metrics->GetCounter("match.search.adjacency_entries")
+          ->Increment(prefix.adjacency_entries);
     }
   }
   if (!prefix.status.ok()) return prefix.status;

@@ -37,7 +37,12 @@ struct MatchOptions {
 
 struct SearchStats {
   /// Candidate nodes tried up to where the search stopped: the same count
-  /// at every worker count.
+  /// at every worker count. A step is one candidate tried (Tick, then
+  /// Check): every root of Phi(order[0]), and at a later position every
+  /// unused candidate the DFS reaches. Where the position has a mapped
+  /// pattern neighbour those are only Phi(u) ∩ N(pivot), so candidates
+  /// not adjacent to the pivot cost no step; the neighbour entries walked
+  /// to find them are counted as match.search.adjacency_entries.
   uint64_t steps = 0;
   /// Check() edge probes and assignments undone by the roots up to the
   /// cut; above one worker the root at the cut may have run past it.
@@ -68,6 +73,17 @@ struct ParallelSearchStats {
 /// NodeCompatible (F_u already evaluated during retrieval); the search
 /// re-checks only edges and the global predicate.
 ///
+/// Extension: Check(u, v) accepts only a v adjacent to every mapped
+/// pattern neighbour of u. So at a position with such a neighbour (a
+/// pivot; self-loops do not count) the DFS walks the sorted, duplicate-free
+/// neighbour run of the pivot whose image has the fewest neighbours and
+/// keeps the entries in Phi(u) (a bitmap built once per search). The
+/// root, positions without a pivot, and any Phi(u) that is not strictly
+/// ascending scan Phi(u) in its own order. Since label-index and
+/// all-nodes base lists give ascending Phi(u), candidates come in the
+/// same order either way and the match list equals a scan of Phi(u);
+/// only `steps` shrinks, to the candidates adjacent to the pivot.
+///
 /// One search serves every worker count. Each root of Phi(order[0]) is a
 /// task; the result is the concatenation of the roots' matches in root
 /// order, cut where the first stop rule fires: the max_matches cap, the
@@ -86,8 +102,8 @@ struct ParallelSearchStats {
 ///
 /// Counters are accumulated per root and flushed once into `metrics`
 /// (match.search.{steps, edge_checks, backtracks, matches, truncated,
-/// csr_edge_probes}) when the search finishes, so instrumentation adds no
-/// per-step synchronization.
+/// csr_edge_probes, adjacency_entries}) when the search finishes, so
+/// instrumentation adds no per-step synchronization.
 Result<std::vector<algebra::MatchedGraph>> SearchMatchesParallel(
     const algebra::GraphPattern& pattern, const Graph& data,
     const std::vector<std::vector<NodeId>>& candidates,

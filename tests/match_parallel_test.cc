@@ -113,31 +113,36 @@ TEST(MatchParallelTest, RunsWithNullMetricsAndNoTracer) {
 
 /// TSan target: a deterministic injected trip lands while several workers
 /// are charging their shards concurrently; the query must end cleanly with
-/// the governor tripped exactly once at the search point.
+/// the governor tripped exactly once at the search point. The search runs
+/// ~42k steps, several kCheckIntervalSteps polls per worker, so the trip at
+/// the second poll lands mid-search and cuts the match list.
 TEST(MatchParallelTest, ConcurrentGovernorTripMidSearch) {
   ThreadPool pool(7);
-  Graph g = MakeData(60, 4242);
+  Graph g = MakeData(1000, 4242);
   match::LabelIndex index = match::LabelIndex::Build(g);
   Rng qrng(11);
   auto q = workload::ExtractConnectedQuery(g, 4, &qrng);
   ASSERT_TRUE(q.ok());
   algebra::GraphPattern p = algebra::GraphPattern::FromGraph(*q);
 
+  match::PipelineOptions o;
+  o.candidate_mode = match::CandidateMode::kLabelOnly;
+  o.refine_level = 0;
+  o.num_threads = 8;
+  o.pool = &pool;
+  auto full = match::MatchPattern(p, g, &index, o);
+  ASSERT_TRUE(full.ok()) << full.status();
+
   FaultInjector injector;
   injector.AddRule(GovernPoint::kSearch, /*at=*/2, TripKind::kSteps);
   ResourceGovernor gov;
   gov.set_fault_injector(&injector);
-
-  match::PipelineOptions o;
-  o.candidate_mode = match::CandidateMode::kLabelOnly;
-  o.refine_level = 0;
   o.governor = &gov;
-  o.num_threads = 8;
-  o.pool = &pool;
   auto got = match::MatchPattern(p, g, &index, o);
   ASSERT_TRUE(got.ok()) << got.status();  // Partial matches, not an error.
   EXPECT_TRUE(gov.tripped());
   EXPECT_EQ(gov.trip_kind(), TripKind::kSteps);
+  EXPECT_LT(got->size(), full->size());
 }
 
 /// TSan target: cancellation arrives from a foreign thread mid-query.

@@ -124,9 +124,15 @@ TEST(ServerStoreCommitTest, HammerEveryReadMatchesASerialVersion) {
   std::mutex mu;
   std::map<uint64_t, std::string> serial;
 
+  // Start latch: writers wait until every reader has pinned once, so the
+  // 200 commits cannot all land before any reader is running.
+  std::atomic<int> readers_started{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kCommitsPerWriter; ++i) {
         GraphCollection c = StampedCollection("D", w * 1000 + i);
         // Publish() copies; render the same content we hand it. Rendering
@@ -147,8 +153,13 @@ TEST(ServerStoreCommitTest, HammerEveryReadMatchesASerialVersion) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
       std::vector<std::pair<uint64_t, std::string>> seen;
+      bool pinned = false;
       while (!done.load(std::memory_order_acquire)) {
         std::shared_ptr<const GraphStore::StoreSnapshot> snap = store.Pin();
+        if (!pinned) {
+          pinned = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
         if (snap->version == 0) continue;
         auto it = snap->docs.find("D");
         ASSERT_NE(it, snap->docs.end())

@@ -191,6 +191,18 @@ def summarize_selection(path, data):
                   f"{lane.get('candidates', 0):>11} "
                   f"{matches:>8} "
                   f"{lane.get('retrieve_speedup', 0):>7.2f}x")
+        for lane in lanes:
+            queries = lane.get("queries", [])
+            if not queries:
+                continue
+            print(f"  {lane.get('lane', '?')} lane by query:")
+            print(f"  {'query':>10} {'search_ms':>12} {'steps':>10} "
+                  f"{'matches':>8}")
+            for q in queries:
+                print(f"  {q.get('query', '?'):>10} "
+                      f"{q.get('search_ms', 0):>12.3f} "
+                      f"{q.get('steps', 0):>10} "
+                      f"{q.get('matches', 0):>8}")
 
 
 def summarize_server(path, data):
